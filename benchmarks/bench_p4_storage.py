@@ -1,11 +1,10 @@
-"""P4: the storage write path — WAL formats, group commit, and recovery.
+"""P4: the storage write path — durability modes, group commit, and recovery.
 
 Two exhibits:
 
-* **Sustained vote-ingest throughput** (rows/s): the pre-PR JSON
-  engine (one ``open``+``fsync`` per commit) against the binary
-  group-commit WAL in each durability mode, single-threaded and with
-  concurrent committers — the axis where group commit earns its keep.
+* **Sustained vote-ingest throughput** (rows/s): the group-commit WAL
+  in each durability mode, single-threaded and with concurrent
+  committers — the axis where group commit earns its keep.
 * **Cold-restart recovery time vs. history size**, with and without
   checkpointing.  The workload updates a fixed working set, so history
   grows without bound while live state stays constant: without
@@ -28,12 +27,11 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 INGEST_COMMITS = 200 if SMOKE else 4000
 THREAD_COUNTS = (1, 4)
 
-#: (label, wal_format, durability)
+#: (label, durability)
 INGEST_CONFIGS = (
-    ("PR5: json + fsync/commit", "json", "fsync"),
-    ("binary + fsync (grouped)", "binary", "fsync"),
-    ("binary + batched", "binary", "batched"),
-    ("binary + async", "binary", "async"),
+    ("binary + fsync (grouped)", "fsync"),
+    ("binary + batched", "batched"),
+    ("binary + async", "async"),
 )
 
 #: Recovery axis: total commits of history over a fixed working set.
@@ -68,13 +66,9 @@ def _vote_row(worker: int, index: int) -> dict:
 # Sustained ingest throughput
 # ---------------------------------------------------------------------------
 
-def _ingest_rate(wal_format: str, durability: str, workers: int) -> float:
+def _ingest_rate(durability: str, workers: int) -> float:
     with tempfile.TemporaryDirectory(prefix="bench-p4-") as directory:
-        db = Database(
-            directory=directory,
-            wal_format=wal_format,
-            durability=durability,
-        )
+        db = Database(directory=directory, durability=durability)
         table = db.create_table(_vote_schema())
         per_worker = INGEST_COMMITS // workers
         barrier = threading.Barrier(workers + 1)
@@ -102,16 +96,14 @@ def _ingest_rate(wal_format: str, durability: str, workers: int) -> float:
 
 def run_ingest_throughput() -> dict:
     results = {}
-    for label, wal_format, durability in INGEST_CONFIGS:
+    for label, durability in INGEST_CONFIGS:
         for workers in THREAD_COUNTS:
-            results[(label, workers)] = _ingest_rate(
-                wal_format, durability, workers
-            )
-    baseline = results[("PR5: json + fsync/commit", max(THREAD_COUNTS))]
+            results[(label, workers)] = _ingest_rate(durability, workers)
+    baseline = results[("binary + fsync (grouped)", max(THREAD_COUNTS))]
     speedup = results[("binary + batched", max(THREAD_COUNTS))] / baseline
     rows = [
         [label, workers, f"{results[(label, workers)]:,.0f}"]
-        for label, __, __ in INGEST_CONFIGS
+        for label, __ in INGEST_CONFIGS
         for workers in THREAD_COUNTS
     ]
     rendered = render_table(
@@ -120,7 +112,7 @@ def run_ingest_throughput() -> dict:
         title="Vote-ingest throughput (1 insert per commit unit)",
     )
     rendered += (
-        f"\nbinary + batched vs json fsync-per-commit at "
+        f"\nbinary + batched vs binary + fsync (grouped) at "
         f"{max(THREAD_COUNTS)} threads: {speedup:.1f}x"
     )
     return {"rendered": rendered, "results": results, "speedup": speedup}
@@ -206,9 +198,9 @@ def test_storage_write_path(benchmark):
     for rate in result["ingest"]["results"].values():
         assert rate > 0
     if not SMOKE:
-        # The PR's acceptance bar: group-commit binary WAL beats the
-        # JSON fsync-per-commit baseline by at least 2x on ingest.
-        assert result["ingest"]["speedup"] >= 2.0
+        # Batched durability (no commit waits on fsync) clearly beats
+        # grouped fsync-per-commit on ingest.
+        assert result["ingest"]["speedup"] >= 1.5
         # With checkpoints on, recovery is bounded by live-set size, not
         # history size: the largest history must not cost materially
         # more than the smallest.

@@ -69,9 +69,7 @@ def _ingest_once(scoring_mode: str) -> float:
     """One votes/s sample on a binary-WAL, batched-durability database."""
     directory = tempfile.mkdtemp(prefix="bench-p6-")
     try:
-        database = Database(
-            directory=directory, wal_format="binary", durability="batched"
-        )
+        database = Database(directory=directory, durability="batched")
         engine = ReputationEngine(
             database=database, clock=SimClock(), scoring_mode=scoring_mode
         )

@@ -36,12 +36,10 @@ N_BENCH_SOFTWARE = 25
 SEED_VOTERS = 6
 MAX_WORKERS = max(THREAD_COUNTS)
 
-#: (label, exclusive_lock, score_cache_size) — the PR1 baseline is the
-#: engine-wide RLock with no server-side cache.
+#: (label, score_cache_size) — the baseline has no server-side cache.
 READ_HEAVY_CONFIGS = (
-    ("PR1: rlock, no cache", True, 0),
-    ("rwlock, no cache", False, 0),
-    ("rwlock + epoch cache", False, 65536),
+    ("rwlock, no cache", 0),
+    ("rwlock + epoch cache", 65536),
 )
 
 BENCH_SOFTWARE_IDS = [("%02x" % index) * 20 for index in range(N_BENCH_SOFTWARE)]
@@ -136,18 +134,15 @@ def test_pipeline_throughput(benchmark):
 # P2: the read path — reader-writer locking + the epoch score cache
 # ---------------------------------------------------------------------------
 
-def _make_read_heavy_server(
-    exclusive_lock: bool, score_cache_size: int
-) -> tuple:
+def _make_read_heavy_server(score_cache_size: int) -> tuple:
     """A server with realistically expensive lookups, plus worker sessions.
 
     Every query assembles vendor scores (a walk over the vendor's whole
     catalogue) and trust-ranked comments, so the read path has real work
-    to either repeat per request (PR1) or serve from the epoch cache.
+    to either repeat per request (no cache) or serve from the epoch
+    cache.
     """
-    engine = ReputationEngine(
-        database=Database(exclusive_lock=exclusive_lock), clock=SimClock()
-    )
+    engine = ReputationEngine(database=Database(), clock=SimClock())
     server = ReputationServer(
         engine=engine,
         puzzle_difficulty=0,
@@ -230,13 +225,11 @@ def _read_heavy_payloads(session: str) -> list:
 
 def run_read_heavy_throughput() -> dict:
     results = {}
-    for label, exclusive_lock, cache_size in READ_HEAVY_CONFIGS:
+    for label, cache_size in READ_HEAVY_CONFIGS:
         for workers in THREAD_COUNTS:
             # A fresh server per run: each worker-user's votes stay
             # unique, and no run inherits another's warm cache.
-            server, sessions = _make_read_heavy_server(
-                exclusive_lock, cache_size
-            )
+            server, sessions = _make_read_heavy_server(cache_size)
             streams = [
                 _read_heavy_payloads(session) for session in sessions[:workers]
             ]
@@ -263,11 +256,11 @@ def run_read_heavy_throughput() -> dict:
             ) / elapsed
 
     speedup = (
-        results[("rwlock + epoch cache", 8)] / results[("PR1: rlock, no cache", 8)]
+        results[("rwlock + epoch cache", 8)] / results[("rwlock, no cache", 8)]
     )
     rows = [
         [label, workers, f"{results[(label, workers)]:,.0f}"]
-        for label, __, __ in READ_HEAVY_CONFIGS
+        for label, __ in READ_HEAVY_CONFIGS
         for workers in THREAD_COUNTS
     ]
     rendered = render_table(
@@ -276,7 +269,8 @@ def run_read_heavy_throughput() -> dict:
         title="Read-heavy throughput (95% query / 5% vote, in-process)",
     )
     rendered += (
-        f"\nrwlock + epoch cache vs PR1 baseline at 8 threads: {speedup:.1f}x"
+        f"\nrwlock + epoch cache vs rwlock, no cache at 8 threads: "
+        f"{speedup:.1f}x"
     )
     return {"rendered": rendered, "results": results, "speedup": speedup}
 

@@ -25,9 +25,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .callgraph import FunctionInfo, ProjectGraph, module_name_for
 
 #: Constructors that produce a project lock (storage/locks.py factories).
-LOCK_FACTORIES = frozenset({
-    "create_lock", "create_rlock", "ReadWriteLock", "ExclusiveLock",
-})
+LOCK_FACTORIES = frozenset({"create_lock", "create_rlock", "ReadWriteLock"})
 
 #: ``with`` methods that acquire a lock on their receiver.
 ACQUIRE_METHODS = frozenset({"read_locked", "write_locked", "locked"})

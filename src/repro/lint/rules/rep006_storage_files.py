@@ -2,7 +2,8 @@
 
 The storage engine owns the on-disk format of a database directory: WAL
 segments (``wal-*.bin``), the binary snapshot (``snapshot.bin``), and
-the legacy JSON pair (``wal.jsonl`` / ``snapshot.json``).  Code outside
+the pre-binary JSON pair (``wal.jsonl`` / ``snapshot.json``), whose
+presence makes the engine refuse the directory.  Code outside
 ``storage/`` that opens those files directly bakes the byte layout into
 a second place, so the next format change (segmenting, a new record
 kind, compression) silently breaks it — exactly the drift the binary

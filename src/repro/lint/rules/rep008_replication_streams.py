@@ -14,8 +14,8 @@ in :mod:`repro.storage` (which owns them) and :mod:`repro.cluster`
 (which is the one sanctioned consumer).
 
 Flagged: calls to the replication primitives above, and direct
-``WriteAheadLog(...)``/``LegacyJsonWriteAheadLog(...)`` construction,
-anywhere outside ``storage/`` and ``cluster/``.
+``WriteAheadLog(...)`` construction, anywhere outside ``storage/`` and
+``cluster/``.
 
 Exempt: ``storage/`` (the owner) and ``cluster/`` (the consumer).
 """
@@ -36,7 +36,7 @@ _STREAM_CALLS = (
     "apply_record",
     "state_snapshot",
 )
-_WAL_CONSTRUCTORS = ("WriteAheadLog", "LegacyJsonWriteAheadLog")
+_WAL_CONSTRUCTORS = ("WriteAheadLog",)
 
 
 class ReplicationStreamRule(Rule):

@@ -41,7 +41,6 @@ from .query import (
     in_set,
 )
 from .locks import (
-    ExclusiveLock,
     LockOrderDetector,
     LockUpgradeError,
     PotentialDeadlockError,
@@ -62,11 +61,10 @@ from .wal import (
     DURABILITY_BATCHED,
     DURABILITY_FSYNC,
     CommitTicket,
-    LegacyJsonWriteAheadLog,
     RetentionHold,
     WriteAheadLog,
 )
-from .engine import WAL_FORMAT_BINARY, WAL_FORMAT_JSON, Database
+from .engine import Database
 
 __all__ = [
     "Column",
@@ -77,20 +75,16 @@ __all__ = [
     "SortedIndex",
     "Transaction",
     "WriteAheadLog",
-    "LegacyJsonWriteAheadLog",
     "CommitTicket",
     "RetentionHold",
     "Checkpointer",
     "DURABILITY_FSYNC",
     "DURABILITY_BATCHED",
     "DURABILITY_ASYNC",
-    "WAL_FORMAT_BINARY",
-    "WAL_FORMAT_JSON",
     "Database",
     "create_event",
     "spawn_thread",
     "ReadWriteLock",
-    "ExclusiveLock",
     "LockUpgradeError",
     "LockOrderDetector",
     "PotentialDeadlockError",

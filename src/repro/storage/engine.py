@@ -9,16 +9,15 @@ segments.
 
 Schemas are code, not data: on reopen the caller re-declares its tables
 (with their check constraints, which are Python callables) and then calls
-:meth:`recover` to reload the snapshot and replay the log.  Data
-directories written by the pre-binary engine (``wal.jsonl`` +
-``snapshot.json``) are detected and recovered transparently; the first
-binary checkpoint migrates them away.
+:meth:`recover` to reload the snapshot and replay the log.  A directory
+written by the pre-binary engine (``wal.jsonl`` / ``snapshot.json``) is
+refused with :class:`~repro.errors.StorageError` when opened: this engine
+cannot read it, and recovering it as empty would lose its data silently.
 
 Durability is a knob (``durability=``): ``fsync`` blocks each commit on
 a group-coalesced fsync, ``batched`` bounds data loss to a small window
 of commits without blocking anyone, ``async`` leaves fsync to the
-kernel.  ``wal_format="json"`` rebuilds the pre-PR write path (one
-``open``+``fsync`` per commit) for A/B benchmarks.
+kernel.
 
 Concurrency: the engine owns one writer-preferring reader–writer lock
 (:class:`~repro.storage.locks.ReadWriteLock`) shared by every table it
@@ -28,14 +27,11 @@ layer and proceed in parallel; mutations take the exclusive side, and a
 for its whole scope, so parallel server workers can never interleave two
 transactions' mutations or split a WAL commit unit.  Committers wait for
 durability only *after* releasing the exclusive side, which is what lets
-concurrent commits coalesce into one fsync.  Passing
-``exclusive_lock=True`` rebuilds the PR 1 discipline (reads serialise
-too) for A/B benchmarks.
+concurrent commits coalesce into one fsync.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Optional
 
@@ -48,7 +44,7 @@ from ..errors import (
 )
 from . import records
 from .checkpointer import Checkpointer
-from .locks import ExclusiveLock, ReadWriteLock, create_lock
+from .locks import ReadWriteLock, create_lock
 from .schema import Schema
 from .table import MutationEvent, OP_DELETE, OP_INSERT, OP_UPDATE, Table
 from .transactions import Transaction, invert
@@ -57,18 +53,13 @@ from .wal import (
     DEFAULT_BATCH_SIZE,
     DURABILITY_FSYNC,
     CommitTicket,
-    LegacyJsonWriteAheadLog,
     WriteAheadLog,
-    decode_row,
-    encode_row,
     fsync_directory,
 )
 
 _SNAPSHOT_FILE = "snapshot.bin"
-_LEGACY_SNAPSHOT_FILE = "snapshot.json"
-
-WAL_FORMAT_BINARY = "binary"
-WAL_FORMAT_JSON = "json"
+#: Files of the pre-binary JSON engine, which this engine refuses to open.
+_PRE_BINARY_FILES = ("wal.jsonl", "snapshot.json")
 
 
 class Database:
@@ -81,9 +72,7 @@ class Database:
     def __init__(
         self,
         directory: Optional[str] = None,
-        exclusive_lock: bool = False,
         durability: str = DURABILITY_FSYNC,
-        wal_format: str = WAL_FORMAT_BINARY,
         clock: Optional[SimClock] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         batch_delay: int = DEFAULT_BATCH_DELAY,
@@ -94,7 +83,7 @@ class Database:
         #: write side is held for the whole scope of a transaction.  Both
         #: sides are reentrant so nested table operations (and observer
         #: callbacks) are safe.
-        self._lock = ExclusiveLock() if exclusive_lock else ReadWriteLock()
+        self._lock = ReadWriteLock()
         self._tables: dict[str, Table] = {}
         self._transaction: Optional[Transaction] = None
         self._tx_buffer: list = []
@@ -114,29 +103,22 @@ class Database:
         #: no I/O); shipping happens on the replicator's own thread.
         self._commit_listeners: list = []
         self._closed = False
-        if wal_format not in (WAL_FORMAT_BINARY, WAL_FORMAT_JSON):
-            raise ValueError(
-                f"unknown wal_format {wal_format!r}; "
-                f"pick {WAL_FORMAT_BINARY!r} or {WAL_FORMAT_JSON!r}"
-            )
-        self._wal_format = wal_format
         if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            if wal_format == WAL_FORMAT_JSON:
-                if durability != DURABILITY_FSYNC:
-                    raise ValueError(
-                        "the JSON write path fsyncs every commit; "
-                        f"durability={durability!r} needs wal_format='binary'"
+            for name in _PRE_BINARY_FILES:
+                if os.path.exists(os.path.join(directory, name)):
+                    raise StorageError(
+                        f"{name} in {directory!r} was written by the "
+                        "pre-binary JSON engine, which this engine cannot "
+                        "read; recover it with an older release"
                     )
-                self._wal = LegacyJsonWriteAheadLog(directory)
-            else:
-                self._wal = WriteAheadLog(
-                    directory,
-                    durability=durability,
-                    clock=clock,
-                    batch_size=batch_size,
-                    batch_delay=batch_delay,
-                )
+            os.makedirs(directory, exist_ok=True)
+            self._wal = WriteAheadLog(
+                directory,
+                durability=durability,
+                clock=clock,
+                batch_size=batch_size,
+                batch_delay=batch_delay,
+            )
 
     # -- schema management --------------------------------------------------
 
@@ -146,7 +128,7 @@ class Database:
             if schema.name in self._tables:
                 raise TableExistsError(f"table {schema.name!r} already exists")
             table = Table(schema, lock=self._lock)
-            table.add_observer(self._on_mutation)
+            table.add_observer(self._on_mutation_locked)
             self._tables[schema.name] = table
             return table
 
@@ -175,7 +157,7 @@ class Database:
             table = self._tables.pop(name, None)
             if table is None:
                 raise TableNotFoundError(f"no table named {name!r}")
-            table.remove_observer(self._on_mutation)
+            table.remove_observer(self._on_mutation_locked)
 
     # -- transactions ---------------------------------------------------------
 
@@ -202,12 +184,7 @@ class Database:
         buffered, self._tx_buffer = self._tx_buffer, []
         self._transaction = None
         if self._wal is not None and buffered:
-            ticket = self._wal.append_commit_unit(buffered)
-            self._note_commit_locked()
-            if ticket.lsn > 0:
-                for listener in self._commit_listeners:
-                    listener(ticket.lsn, buffered)
-            return ticket
+            return self._append_unit_locked(buffered)
         return None
 
     def _rollback(self, transaction: Transaction, undo_log: list) -> None:
@@ -231,7 +208,8 @@ class Database:
 
     # -- WAL plumbing -----------------------------------------------------------
 
-    def _on_mutation(self, event: MutationEvent) -> None:
+    def _on_mutation_locked(self, event: MutationEvent) -> None:
+        """Table observer: tables notify under the exclusive side."""
         if self._suppress_log:
             return
         if self._transaction is not None:
@@ -244,13 +222,20 @@ class Database:
             # mutations notify under it), and is the only possible
             # writer, so waiting for durability inline cannot starve a
             # peer — there isn't one until the lock is released.
-            record = self._event_to_record(event)
-            ticket = self._wal.append_commit_unit([record])
-            self._note_commit_locked()
-            if ticket.lsn > 0:
-                for listener in self._commit_listeners:
-                    listener(ticket.lsn, [record])
+            ticket = self._append_unit_locked([self._event_to_record(event)])
             self._await_durability(ticket)
+
+    def _append_unit_locked(self, unit: list) -> CommitTicket:
+        """Log one non-empty commit unit and fan it out to listeners.
+
+        Callers hold the exclusive side, which keeps units in LSN order
+        for the commit listeners.
+        """
+        ticket = self._wal.append_commit_unit(unit)
+        self._note_commit_locked()
+        for listener in self._commit_listeners:
+            listener(ticket.lsn, unit)
+        return ticket
 
     @staticmethod
     def _event_to_record(event: MutationEvent) -> dict:
@@ -320,9 +305,6 @@ class Database:
 
         Must be called after all schemas have been re-declared and before
         any new writes.  Returns the number of replayed mutations.
-        Understands both the binary layout (``snapshot.bin`` + WAL
-        segments) and a directory left by the pre-binary engine
-        (``snapshot.json`` + ``wal.jsonl``).
         """
         if self._directory is None or self._wal is None:
             raise StorageError("recover() requires a durable database")
@@ -345,34 +327,19 @@ class Database:
             return applied
 
     def _load_snapshot(self) -> tuple:
-        """Load the newest snapshot; returns ``(checkpoint_lsn, nrows)``.
-
-        ``snapshot.bin`` wins when present (it postdates any legacy
-        ``snapshot.json`` — the checkpoint that wrote it deletes the
-        legacy pair once durable).  A legacy snapshot has no LSN: the
-        legacy engine truncated its WAL at every checkpoint, so whatever
-        remains in ``wal.jsonl`` postdates it and replays from 0.
-        """
+        """Load ``snapshot.bin`` if present; returns ``(checkpoint_lsn,
+        nrows)`` — ``(0, 0)`` when no checkpoint has run yet."""
+        path = os.path.join(self._directory, _SNAPSHOT_FILE)
+        if not os.path.exists(path):
+            return 0, 0
         applied = 0
-        binary_path = os.path.join(self._directory, _SNAPSHOT_FILE)
-        if os.path.exists(binary_path):
-            lsn, tables = records.load_snapshot(binary_path)
-            for table_name, rows in tables.items():
-                table = self._snapshot_table(table_name)
-                for row in rows:
-                    table.insert(row)
-                    applied += 1
-            return lsn, applied
-        legacy_path = os.path.join(self._directory, _LEGACY_SNAPSHOT_FILE)
-        if os.path.exists(legacy_path):
-            with open(legacy_path, "r", encoding="utf-8") as snapshot_file:
-                snapshot = json.load(snapshot_file)
-            for table_name, rows in snapshot.get("tables", {}).items():
-                table = self._snapshot_table(table_name)
-                for row in rows:
-                    table.insert(decode_row(row))
-                    applied += 1
-        return 0, applied
+        lsn, tables = records.load_snapshot(path)
+        for table_name, rows in tables.items():
+            table = self._snapshot_table(table_name)
+            for row in rows:
+                table.insert(row)
+                applied += 1
+        return lsn, applied
 
     def _snapshot_table(self, table_name: str) -> Table:
         if table_name not in self._tables:
@@ -430,13 +397,10 @@ class Database:
     def retain_wal_from(self, after_lsn: int, name: str = ""):
         """Pin WAL history past *after_lsn* against checkpoint truncation.
 
-        Returns a :class:`~repro.storage.wal.RetentionHold` (binary WAL
-        only — replication requires the segmented log).
+        Returns a :class:`~repro.storage.wal.RetentionHold`.
         """
-        if not isinstance(self._wal, WriteAheadLog):
-            raise StorageError(
-                "WAL retention requires a binary-format durable database"
-            )
+        if self._wal is None:
+            raise StorageError("WAL retention requires a durable database")
         return self._wal.retain_from(after_lsn, name=name)
 
     def state_snapshot(self) -> tuple:
@@ -475,79 +439,44 @@ class Database:
     def checkpoint(self) -> None:
         """Write a full snapshot durably, then drop the WAL it covers.
 
-        Binary layout: the exclusive lock is held only for the
-        consistent-cut instant (WAL rotation + in-memory row copies);
-        the snapshot streams to disk — tmp file → fsync → ``os.replace``
-        → directory fsync — while readers and writers proceed.  Only
-        after the snapshot is durable are the covered WAL segments (and
-        any legacy-format files) deleted, so a crash at *any* point
-        leaves a directory that recovers to a committed state.
+        The exclusive lock is held only for the consistent-cut instant
+        (WAL rotation + in-memory row copies); the snapshot streams to
+        disk — tmp file → fsync → ``os.replace`` → directory fsync —
+        while readers and writers proceed.  Only after the snapshot is
+        durable are the covered WAL segments deleted, so a crash at
+        *any* point leaves a directory that recovers to a committed
+        state.
         """
         if self._directory is None or self._wal is None:
             raise StorageError("checkpoint() requires a durable database")
         with self._checkpoint_mutex:
-            if self._wal_format == WAL_FORMAT_JSON:
-                self._checkpoint_json()
-            else:
-                self._checkpoint_binary()
-
-    def _checkpoint_binary(self) -> None:
-        # Consistent cut: everyone's committed, nobody's mid-unit.
-        with self._lock.write_locked():
-            if self._transaction is not None:
-                raise TransactionError("cannot checkpoint inside a transaction")
-            cut_lsn = self._wal.rotate()
-            tables = {
-                name: table.all() for name, table in self._tables.items()
-            }
-            self._commits_since_checkpoint = 0
-        # Everything below happens outside the engine lock.
-        snapshot_path = os.path.join(self._directory, _SNAPSHOT_FILE)
-        temp_path = snapshot_path + ".tmp"
-        with open(temp_path, "wb") as snapshot_file:
-            writer = records.SnapshotWriter(snapshot_file, cut_lsn, len(tables))
-            for name in sorted(tables):
-                writer.table(name, tables[name])
-            writer.finish()
-            snapshot_file.flush()
-            os.fsync(snapshot_file.fileno())
-        os.replace(temp_path, snapshot_path)
-        fsync_directory(self._directory)
-        # The snapshot is durable: history before the cut is redundant.
-        self._wal.drop_segments_upto(cut_lsn)
-        legacy_snapshot = os.path.join(
-            self._directory, _LEGACY_SNAPSHOT_FILE
-        )
-        if os.path.exists(legacy_snapshot):
-            os.unlink(legacy_snapshot)
-            fsync_directory(self._directory)
-
-    def _checkpoint_json(self) -> None:
-        # The legacy protocol is stop-the-world, but with the atomicity
-        # holes fixed: tmp + fsync + replace + dir fsync, and the WAL is
-        # truncated (durably) only after the snapshot rename is on disk
-        # — snapshot-durable-before-truncate.
-        with self._lock.write_locked():  # reprolint: disable=REP002 (legacy stop-the-world checkpoint: I/O under the lock is the protocol)
-            if self._transaction is not None:
-                raise TransactionError("cannot checkpoint inside a transaction")
-            snapshot = {
-                "tables": {
-                    name: [encode_row(row) for row in table.all()]
-                    for name, table in self._tables.items()
+            # Consistent cut: everyone's committed, nobody's mid-unit.
+            with self._lock.write_locked():
+                if self._transaction is not None:
+                    raise TransactionError(
+                        "cannot checkpoint inside a transaction"
+                    )
+                cut_lsn = self._wal.rotate()
+                tables = {
+                    name: table.all() for name, table in self._tables.items()
                 }
-            }
-            snapshot_path = os.path.join(
-                self._directory, _LEGACY_SNAPSHOT_FILE
-            )
+                self._commits_since_checkpoint = 0
+            # Everything below happens outside the engine lock.
+            snapshot_path = os.path.join(self._directory, _SNAPSHOT_FILE)
             temp_path = snapshot_path + ".tmp"
-            with open(temp_path, "w", encoding="utf-8") as snapshot_file:
-                json.dump(snapshot, snapshot_file, sort_keys=True)
+            with open(temp_path, "wb") as snapshot_file:
+                writer = records.SnapshotWriter(
+                    snapshot_file, cut_lsn, len(tables)
+                )
+                for name in sorted(tables):
+                    writer.table(name, tables[name])
+                writer.finish()
                 snapshot_file.flush()
                 os.fsync(snapshot_file.fileno())
             os.replace(temp_path, snapshot_path)
             fsync_directory(self._directory)
-            self._wal.truncate()
-            self._commits_since_checkpoint = 0
+            # The snapshot is durable: history before the cut is redundant.
+            self._wal.drop_segments_upto(cut_lsn)
 
     def close(self) -> None:
         """Flush everything pending and release file handles; idempotent."""

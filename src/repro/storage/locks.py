@@ -1,12 +1,12 @@
 """Reader–writer locking for the storage engine.
 
-PR 1 serialised *every* table operation — reads included — on one
-engine-wide ``threading.RLock``.  The client pauses every process launch
-on a reputation lookup (Sec. 2.1), so at scale the read path outweighs
-the write path by orders of magnitude and that single lock is the
-bottleneck.  :class:`ReadWriteLock` lets any number of reader threads
-proceed in parallel while writers (and transactions, which hold the
-write side for their whole scope) retain exclusive access.
+The client pauses every process launch on a reputation lookup
+(Sec. 2.1), so at scale the read path outweighs the write path by
+orders of magnitude and one engine-wide mutex would be the bottleneck.
+:class:`ReadWriteLock` — the engine's only lock — lets any number of
+reader threads proceed in parallel while writers (and transactions,
+which hold the write side for their whole scope) retain exclusive
+access.
 
 The lock is **writer-preferring**: once a writer is waiting, new readers
 queue behind it, so a steady stream of lookups cannot starve the daily
@@ -22,10 +22,6 @@ Two deliberate semantics:
 * a thread holding only the **read** side may NOT request the write side
   — lock upgrades deadlock as soon as two readers try it, so the attempt
   raises :class:`LockUpgradeError` immediately instead.
-
-:class:`ExclusiveLock` presents the same read/write interface over a
-single ``RLock`` — the PR 1 behaviour — so benchmarks can measure the
-old engine against the new one with one constructor flag.
 
 This module is also the home of the project's **shared lock
 primitives** (REP005: nothing outside here and ``net/`` constructs raw
@@ -478,37 +474,3 @@ class ReadWriteLock:
         with self._cond:
             return self._writer is not None
 
-
-class ExclusiveLock:
-    """The PR 1 lock discipline behind the reader–writer interface.
-
-    Every acquisition — read or write — takes the same reentrant lock,
-    so reads serialise exactly as they did with the engine-wide
-    ``RLock``.  Exists so ``Database(exclusive_lock=True)`` can rebuild
-    the old engine for A/B benchmarks and regression comparisons.
-    """
-
-    def __init__(self, name: str = ""):
-        self._lock = TrackedRLock(name or "exclusive-lock")
-
-    def acquire_read(self) -> None:
-        self._lock.acquire()
-
-    def release_read(self) -> None:
-        self._lock.release()
-
-    def acquire_write(self, blocking: bool = True) -> bool:
-        return self._lock.acquire(blocking=blocking)
-
-    def release_write(self) -> None:
-        self._lock.release()
-
-    @contextmanager
-    def read_locked(self):
-        with self._lock:
-            yield
-
-    @contextmanager
-    def write_locked(self):
-        with self._lock:
-            yield

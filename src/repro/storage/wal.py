@@ -33,24 +33,15 @@ happens next depends on the log's durability mode:
 consistent cut (the caller holds the engine's exclusive lock for that
 instant) and returns the cut LSN; once the caller has a durable
 snapshot at that LSN, :meth:`drop_segments_upto` deletes every sealed
-segment — and the legacy JSON log — whose units the snapshot covers,
-fsyncing the directory.  Snapshot-durable-before-truncate is therefore
-enforced structurally: nothing here ever shortens a live segment.
-
-**Legacy format**: a data directory written by the JSON-lines engine
-(``wal.jsonl``) is detected automatically.  Its units replay first, with
-synthetic LSNs ``1..N``, and new binary segments continue the sequence
-at ``N+1``; the legacy file is deleted by the first checkpoint that
-covers it.  :class:`LegacyJsonWriteAheadLog` keeps the old write path
-alive for A/B benchmarks (``Database(wal_format="json")``) and for
-authoring migration fixtures.
+segment whose units the snapshot covers, fsyncing the directory.
+Snapshot-durable-before-truncate is therefore enforced structurally:
+nothing here ever shortens a live segment.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..clock import SimClock
 from ..errors import WalCorruptionError
@@ -69,14 +60,8 @@ DEFAULT_BATCH_SIZE = 64
 #: ...or this many sim-clock seconds after the oldest pending unit.
 DEFAULT_BATCH_DELAY = 1
 
-#: Legacy JSON-lines artifacts (the pre-binary engine).
-LEGACY_WAL_FILE = "wal.jsonl"
-
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".bin"
-
-KIND_MUTATION = "mutation"
-KIND_COMMIT = "commit"
 
 
 def fsync_directory(path: str) -> None:
@@ -88,38 +73,6 @@ def fsync_directory(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-# ---------------------------------------------------------------------------
-# Legacy JSON value encoding (kept for the JSON log and old snapshots)
-# ---------------------------------------------------------------------------
-
-def encode_value(value: Any) -> Any:
-    """Make a column value JSON-safe."""
-    if isinstance(value, (bytes, bytearray)):
-        return {"__bytes__": bytes(value).hex()}
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, dict) and set(value) == {"__bytes__"}:
-        return bytes.fromhex(value["__bytes__"])
-    return value
-
-
-def encode_row(row: Optional[dict]) -> Optional[dict]:
-    """JSON-encode a row dict (or ``None``)."""
-    if row is None:
-        return None
-    return {column: encode_value(value) for column, value in row.items()}
-
-
-def decode_row(row: Optional[dict]) -> Optional[dict]:
-    """Inverse of :func:`encode_row`."""
-    if row is None:
-        return None
-    return {column: decode_value(value) for column, value in row.items()}
 
 
 class CommitTicket:
@@ -210,7 +163,6 @@ class WriteAheadLog:
         self._next_lsn: Optional[int] = None
         #: Sealed segment path -> last LSN it contains (0 when empty).
         self._segment_last_lsn: dict = {}
-        self._legacy_units: Optional[int] = None
         #: Active replication pins (see :class:`RetentionHold`).
         self._holds: List[RetentionHold] = []
         self._seq = 0
@@ -223,10 +175,6 @@ class WriteAheadLog:
         self.sync_count = 0
 
     # -- paths ------------------------------------------------------------
-
-    @property
-    def legacy_path(self) -> str:
-        return os.path.join(self.directory, LEGACY_WAL_FILE)
 
     @property
     def active_path(self) -> Optional[str]:
@@ -255,11 +203,8 @@ class WriteAheadLog:
         except ValueError:
             return 0
 
-    def exists(self) -> bool:
-        return bool(self._segment_files()) or os.path.exists(self.legacy_path)
-
     def size_bytes(self) -> int:
-        """Total on-disk log size: all segments plus the legacy file."""
+        """Total on-disk log size across all segments."""
         with self._buffer_lock:
             if self._approx_bytes is None:
                 self._approx_bytes = self._measure()
@@ -267,7 +212,7 @@ class WriteAheadLog:
 
     def _measure(self) -> int:
         total = 0
-        for path in self._segment_files() + [self.legacy_path]:
+        for path in self._segment_files():
             try:
                 total += os.path.getsize(path)
             except OSError:
@@ -280,23 +225,13 @@ class WriteAheadLog:
         """Scan the directory once so appends continue the LSN sequence."""
         if self._next_lsn is not None:
             return
-        last = self._count_legacy_units()
+        last = 0
         for path in self._segment_files():
             units, _ = self._parse_segment(path)
             seg_last = units[-1][0] if units else 0
             self._segment_last_lsn[path] = seg_last
             last = max(last, seg_last)
         self._next_lsn = last + 1
-
-    def _count_legacy_units(self) -> int:
-        if self._legacy_units is None:
-            if os.path.exists(self.legacy_path):
-                self._legacy_units = sum(
-                    1 for _ in _replay_legacy_json(self.legacy_path)
-                )
-            else:
-                self._legacy_units = 0
-        return self._legacy_units
 
     @property
     def last_lsn(self) -> int:
@@ -442,8 +377,8 @@ class WriteAheadLog:
                 return cut
 
     def drop_segments_upto(self, lsn: int) -> None:
-        """Delete sealed segments (and the legacy log) covered by a
-        durable snapshot at *lsn*; fsyncs the directory afterwards.
+        """Delete sealed segments covered by a durable snapshot at
+        *lsn*; fsyncs the directory afterwards.
 
         Only ever called *after* the caller has made its snapshot
         durable — the active segment is never touched, so a crash at any
@@ -470,12 +405,6 @@ class WriteAheadLog:
                 os.unlink(path)
                 self._segment_last_lsn.pop(path, None)
                 removed = True
-        if (
-            os.path.exists(self.legacy_path)
-            and self._count_legacy_units() <= lsn
-        ):
-            os.unlink(self.legacy_path)
-            removed = True
         if removed:
             fsync_directory(self.directory)
             with self._buffer_lock:
@@ -495,12 +424,11 @@ class WriteAheadLog:
     def replay(self, after_lsn: int = 0) -> Iterator[list]:
         """Yield each committed unit with LSN > *after_lsn*, in order.
 
-        Units come from the legacy JSON log first (synthetic LSNs), then
-        every binary segment in sequence order.  The **prefix rule**: a
-        torn tail ends replay of the log; a gap in the LSN sequence ends
-        it too (recorded in :attr:`last_replay_gap`), because units
-        after a hole may depend on the lost one.  Mid-record corruption
-        in a *complete* record raises
+        Units come from every segment in sequence order.  The **prefix
+        rule**: a torn tail ends replay of the log; a gap in the LSN
+        sequence ends it too (recorded in :attr:`last_replay_gap`),
+        because units after a hole may depend on the lost one.
+        Mid-record corruption in a *complete* record raises
         :class:`~repro.errors.WalCorruptionError`.
         """
         self.last_replay_gap = None
@@ -520,12 +448,6 @@ class WriteAheadLog:
                 self._next_lsn = max(last_seen, after_lsn) + 1
 
     def _iter_units(self) -> Iterator[tuple]:
-        if os.path.exists(self.legacy_path):
-            synthetic = 0
-            for unit in _replay_legacy_json(self.legacy_path):
-                synthetic += 1
-                yield synthetic, unit
-            self._legacy_units = synthetic
         for path in self._segment_files():
             units, torn = self._parse_segment(path)
             if path != self._active_path:  # reprolint: disable=REP011 (recovery runs single-threaded, before appenders start)
@@ -579,142 +501,3 @@ class WriteAheadLog:
                 pending = []
         # Mutations with no commit record (crash before commit): discard.
         return units, torn
-
-
-# ---------------------------------------------------------------------------
-# The legacy JSON-lines log
-# ---------------------------------------------------------------------------
-
-def _replay_legacy_json(path: str) -> Iterator[list]:
-    """Yield committed units from a JSON-lines log, values decoded.
-
-    A torn final line (or a trailing unit with no commit record) is
-    silently discarded; corruption *before* the last commit raises
-    :class:`WalCorruptionError`, because data loss there is real.
-    """
-    if not os.path.exists(path):
-        return
-    pending: list = []
-    tail_is_torn = False
-    with open(path, "r", encoding="utf-8") as log_file:
-        for line_number, line in enumerate(log_file, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                tail_is_torn = True
-                continue
-            if tail_is_torn:
-                raise WalCorruptionError(
-                    f"{path}: corrupt record before line {line_number}"
-                )
-            kind = record.get("kind")
-            if kind == KIND_MUTATION:
-                pending.append({
-                    "op": record["op"],
-                    "table": record["table"],
-                    "pk": decode_value(record["pk"]),
-                    "row": decode_row(record["row"]),
-                })
-            elif kind == KIND_COMMIT:
-                expected = record.get("count")
-                if expected != len(pending):
-                    raise WalCorruptionError(
-                        f"{path}: commit at line {line_number} covers "
-                        f"{expected} mutations, found {len(pending)}"
-                    )
-                yield pending
-                pending = []
-            else:
-                raise WalCorruptionError(
-                    f"{path}: unknown record kind {kind!r} "
-                    f"at line {line_number}"
-                )
-    # anything left in `pending` was never committed: discard.
-
-
-class LegacyJsonWriteAheadLog:
-    """The pre-binary write path: JSON lines, ``open``+``fsync`` per commit.
-
-    Kept as a faithful A/B baseline (``Database(wal_format="json")`` and
-    the P4 benchmark) and to author migration fixtures.  It presents the
-    same ticket-based interface as :class:`WriteAheadLog` but every
-    commit is synchronously durable, so tickets come back settled and
-    group commit never happens — exactly the seed engine's cost model.
-    """
-
-    def __init__(self, directory: str, **_ignored):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, LEGACY_WAL_FILE)
-        self.durability = DURABILITY_FSYNC
-        self.sync_count = 0
-        self.last_replay_gap = None
-
-    # -- writing ----------------------------------------------------------
-
-    def append_commit_unit(self, mutations: list) -> CommitTicket:
-        if not mutations:
-            return CommitTicket(0, durable=True)
-        lines = []
-        for mutation in mutations:
-            lines.append(json.dumps({
-                "kind": KIND_MUTATION,
-                "op": mutation["op"],
-                "table": mutation["table"],
-                "pk": encode_value(mutation["pk"]),
-                "row": encode_row(mutation["row"]),
-            }, sort_keys=True))
-        lines.append(json.dumps({
-            "kind": KIND_COMMIT, "count": len(mutations),
-        }))
-        with open(self.path, "a", encoding="utf-8") as log_file:
-            log_file.write("\n".join(lines) + "\n")
-            log_file.flush()
-            os.fsync(log_file.fileno())
-        self.sync_count += 1
-        return CommitTicket(0, durable=True)
-
-    def wait_durable(self, ticket: CommitTicket) -> None:
-        """Every commit was fsynced inline; nothing to wait for."""
-
-    def sync(self) -> None:
-        """No deferred state exists in this mode."""
-
-    def truncate(self) -> None:
-        """Discard all log content — durably.
-
-        The seed implementation forgot both fsyncs here: a crash right
-        after a checkpoint could resurrect pre-checkpoint WAL content
-        (double-applying units over the snapshot) because neither the
-        truncated file nor the directory entry was on disk yet.
-        """
-        with open(self.path, "w", encoding="utf-8") as log_file:
-            log_file.flush()
-            os.fsync(log_file.fileno())
-        fsync_directory(self.directory)
-
-    def close(self) -> None:
-        """No persistent handle to release."""
-
-    # -- reading ----------------------------------------------------------
-
-    def replay(self, after_lsn: int = 0) -> Iterator[list]:
-        for index, unit in enumerate(_replay_legacy_json(self.path), start=1):
-            if index > after_lsn:
-                yield unit
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def size_bytes(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
-    @property
-    def last_lsn(self) -> int:
-        return sum(1 for _ in _replay_legacy_json(self.path))

@@ -76,9 +76,7 @@ def test_kill_mid_burst_recovers_identical_sums(
     os.makedirs(live_dir)
 
     # --- the interrupted run ------------------------------------------------
-    database = Database(
-        directory=live_dir, wal_format="binary", durability="fsync"
-    )
+    database = Database(directory=live_dir, durability="fsync")
     engine = _streaming_engine(database)
     # Make the membership durable in the snapshot so WAL truncation can
     # only ever cut votes (and sums/score flushes), never users.
@@ -97,7 +95,7 @@ def test_kill_mid_burst_recovers_identical_sums(
         handle.truncate(int(size * cut_fraction))
 
     # --- recovery: replay + bootstrap reconciliation ------------------------
-    recovered_db = Database(directory=dead_dir, wal_format="binary")
+    recovered_db = Database(directory=dead_dir)
     recovered = ReputationEngine(
         database=recovered_db, scoring_mode="streaming"
     )

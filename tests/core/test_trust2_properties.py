@@ -135,9 +135,7 @@ def test_crash_recovery_reproduces_bit_identical_posteriors(
     dead_dir = str(base / "dead")
     os.makedirs(live_dir)
 
-    database = Database(
-        directory=live_dir, wal_format="binary", durability="fsync"
-    )
+    database = Database(directory=live_dir, durability="fsync")
     ledger = BayesianTrustLedger(database)
     for username in _USERS:
         ledger.enroll(username, 0)
@@ -160,7 +158,7 @@ def test_crash_recovery_reproduces_bit_identical_posteriors(
             handle.truncate(int(size * cut_fraction))
 
     # Declare the schema (ledger construction), then replay the WAL.
-    recovered_db = Database(directory=dead_dir, wal_format="binary")
+    recovered_db = Database(directory=dead_dir)
     recovered = BayesianTrustLedger(recovered_db)
     recovered_db.recover()
 

@@ -120,6 +120,15 @@ class TestDurability:
         __, table2, __ = self._reopen(tmp_path)
         assert len(table2) == 2
 
+    @pytest.mark.parametrize("name", ["wal.jsonl", "snapshot.json"])
+    def test_pre_binary_directory_refused(self, tmp_path, name):
+        # Recovering it as empty would lose its data without a word.
+        (tmp_path / name).write_text(
+            '{"kind": "commit", "count": 0}\n', encoding="utf-8"
+        )
+        with pytest.raises(StorageError, match=name):
+            Database(directory=str(tmp_path))
+
     def test_recover_requires_durable_db(self):
         with pytest.raises(StorageError):
             Database().recover()

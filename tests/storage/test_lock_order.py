@@ -16,7 +16,6 @@ import pytest
 
 from repro.storage import Column, ColumnType, Database, Schema
 from repro.storage.locks import (
-    ExclusiveLock,
     PotentialDeadlockError,
     ReadWriteLock,
     create_lock,
@@ -159,18 +158,6 @@ def test_rwlock_participates_in_ordering():
         with cache:
             with pytest.raises(PotentialDeadlockError):
                 rwlock.acquire_write()
-
-
-def test_exclusive_lock_participates():
-    with lock_order_detection():
-        exclusive = ExclusiveLock("old-engine")
-        other = create_lock("other")
-        with exclusive.write_locked():
-            with other:
-                pass
-        with other:
-            with pytest.raises(PotentialDeadlockError):
-                exclusive.acquire_read()
 
 
 def test_storage_engine_stays_silent_under_detection():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.storage import Database, ExclusiveLock, LockUpgradeError, ReadWriteLock
+from repro.storage import Database, LockUpgradeError, ReadWriteLock
 from repro.storage.schema import Column, ColumnType, Schema
 
 
@@ -148,37 +148,7 @@ class TestReadWriteLock:
         lock.release_read()
 
 
-class TestExclusiveLock:
-    def test_reads_serialise(self):
-        lock = ExclusiveLock()
-        lock.acquire_read()
-        acquired = []
-
-        def second_reader():
-            acquired.append(lock.acquire_write(blocking=False))
-
-        thread = threading.Thread(target=second_reader)
-        thread.start()
-        thread.join(timeout=5.0)
-        assert acquired == [False]  # PR 1 behaviour: reads exclude too
-        lock.release_read()
-
-    def test_same_interface_context_managers(self):
-        lock = ExclusiveLock()
-        with lock.read_locked():
-            pass
-        with lock.write_locked():
-            pass
-
-
 class TestEngineUnderRWLock:
-    def test_exclusive_flag_rebuilds_old_engine(self):
-        db = Database(exclusive_lock=True)
-        assert isinstance(db._lock, ExclusiveLock)
-        table = db.create_table(_schema())
-        table.insert({"k": "a", "v": 1})
-        assert table.get("a")["v"] == 1
-
     def test_concurrent_readers_with_one_writer(self):
         db = Database()
         table = db.create_table(_schema())

@@ -1,14 +1,12 @@
 """Write-ahead log: group commit, durability modes, torn writes, corruption."""
 
-import json
 import os
 
 import pytest
 
 from repro.clock import SimClock
 from repro.errors import WalCorruptionError
-from repro.storage import LegacyJsonWriteAheadLog, WriteAheadLog
-from repro.storage.wal import decode_row, decode_value, encode_row, encode_value
+from repro.storage import WriteAheadLog
 
 
 @pytest.fixture
@@ -25,23 +23,6 @@ def _segments(directory):
         name for name in os.listdir(directory)
         if name.startswith("wal-") and name.endswith(".bin")
     )
-
-
-class TestValueEncoding:
-    def test_bytes_roundtrip(self):
-        assert decode_value(encode_value(b"\x00\xff")) == b"\x00\xff"
-
-    def test_scalars_pass_through(self):
-        for value in (1, 1.5, "x", True, None):
-            assert decode_value(encode_value(value)) == value
-
-    def test_row_roundtrip(self):
-        row = {"a": 1, "b": b"xy", "c": None}
-        assert decode_row(encode_row(row)) == row
-
-    def test_none_row(self):
-        assert encode_row(None) is None
-        assert decode_row(None) is None
 
 
 class TestAppendReplay:
@@ -256,53 +237,3 @@ class TestCrashRecovery:
         units = list(wal.replay())
         assert [unit[0]["pk"] for unit in units] == [1]
         assert wal.last_replay_gap == (2, 3)
-
-
-class TestLegacyJsonLog:
-    def test_append_is_synchronously_durable(self, tmp_path):
-        wal = LegacyJsonWriteAheadLog(str(tmp_path))
-        ticket = wal.append_commit_unit([_mutation(1)])
-        assert ticket.durable
-        assert wal.sync_count == 1
-
-    def test_truncate_discards_everything(self, tmp_path):
-        wal = LegacyJsonWriteAheadLog(str(tmp_path))
-        wal.append_commit_unit([_mutation(1)])
-        wal.truncate()
-        assert list(wal.replay()) == []
-        assert wal.size_bytes() == 0
-
-    def test_binary_log_replays_legacy_file_first(self, tmp_path):
-        legacy = LegacyJsonWriteAheadLog(str(tmp_path))
-        legacy.append_commit_unit([_mutation(1)])
-        legacy.append_commit_unit([_mutation(2)])
-        wal = WriteAheadLog(str(tmp_path))
-        ticket = wal.append_commit_unit([_mutation(3)])
-        assert ticket.lsn == 3  # continues after the synthetic legacy LSNs
-        units = list(wal.replay())
-        assert [unit[0]["pk"] for unit in units] == [1, 2, 3]
-
-    def test_legacy_corruption_before_commit_raises(self, tmp_path):
-        legacy = LegacyJsonWriteAheadLog(str(tmp_path))
-        with open(legacy.path, "w", encoding="utf-8") as f:
-            f.write("garbage that is not json\n")
-            record = dict(_mutation(1))
-            record["kind"] = "mutation"
-            f.write(json.dumps(record) + "\n")
-            f.write(json.dumps({"kind": "commit", "count": 1}) + "\n")
-        with pytest.raises(WalCorruptionError):
-            list(legacy.replay())
-
-    def test_legacy_torn_final_line_discarded(self, tmp_path):
-        legacy = LegacyJsonWriteAheadLog(str(tmp_path))
-        legacy.append_commit_unit([_mutation(1)])
-        with open(legacy.path, "a", encoding="utf-8") as f:
-            f.write('{"kind": "mutation", "op": "ins')  # torn write
-        assert len(list(legacy.replay())) == 1
-
-    def test_legacy_unknown_record_kind_raises(self, tmp_path):
-        legacy = LegacyJsonWriteAheadLog(str(tmp_path))
-        with open(legacy.path, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"kind": "mystery"}) + "\n")
-        with pytest.raises(WalCorruptionError, match="unknown record kind"):
-            list(legacy.replay())
