@@ -39,7 +39,7 @@ MAX_WORKERS = max(THREAD_COUNTS)
 #: (label, score_cache_size) — the baseline has no server-side cache.
 READ_HEAVY_CONFIGS = (
     ("rwlock, no cache", 0),
-    ("rwlock + epoch cache", 65536),
+    ("rwlock + score cache", 65536),
 )
 
 BENCH_SOFTWARE_IDS = [("%02x" % index) * 20 for index in range(N_BENCH_SOFTWARE)]
@@ -131,7 +131,7 @@ def test_pipeline_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# P2: the read path — reader-writer locking + the epoch score cache
+# P2: the read path — reader-writer locking + the version-keyed score cache
 # ---------------------------------------------------------------------------
 
 def _make_read_heavy_server(score_cache_size: int) -> tuple:
@@ -139,7 +139,7 @@ def _make_read_heavy_server(score_cache_size: int) -> tuple:
 
     Every query assembles vendor scores (a walk over the vendor's whole
     catalogue) and trust-ranked comments, so the read path has real work
-    to either repeat per request (no cache) or serve from the epoch
+    to either repeat per request (no cache) or serve from the score
     cache.
     """
     engine = ReputationEngine(database=Database(), clock=SimClock())
@@ -256,7 +256,7 @@ def run_read_heavy_throughput() -> dict:
             ) / elapsed
 
     speedup = (
-        results[("rwlock + epoch cache", 8)] / results[("rwlock, no cache", 8)]
+        results[("rwlock + score cache", 8)] / results[("rwlock, no cache", 8)]
     )
     rows = [
         [label, workers, f"{results[(label, workers)]:,.0f}"]
@@ -269,7 +269,7 @@ def run_read_heavy_throughput() -> dict:
         title="Read-heavy throughput (95% query / 5% vote, in-process)",
     )
     rendered += (
-        f"\nrwlock + epoch cache vs rwlock, no cache at 8 threads: "
+        f"\nrwlock + score cache vs rwlock, no cache at 8 threads: "
         f"{speedup:.1f}x"
     )
     return {"rendered": rendered, "results": results, "speedup": speedup}

@@ -51,7 +51,7 @@ def build_defended_server():
         engine.cast_vote(username, good.software_id, 9)
         engine.cast_vote(username, pis.software_id, 2)
     server.clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     return server, good, pis
 
 

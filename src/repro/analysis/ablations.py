@@ -69,7 +69,7 @@ def run_a1_weighting(
             max(1, min(10, truth + 3 + rng.choice((-1, 0, 1, 2)))),
         )
     engine.clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     weighted = engine.software_reputation(software_id).score
     plain = unweighted_mean(engine.ratings.votes_for(software_id))
     rendered = render_table(

@@ -355,7 +355,7 @@ def _attack_rig(
             username, bad.software_id, min(10, max(1, 2 + rng.choice((0, 0, 1)))),
         )
     clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     return server, good, bad
 
 
@@ -729,7 +729,7 @@ def _rated_engine_for(population, seed: int):
             noisy = min(10, max(1, truth + rng.choice((-1, 0, 0, 1))))
             engine.cast_vote(username, executable.software_id, noisy)
     clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     verifier = SignatureVerifier([population.authority])
     return engine, verifier
 
@@ -916,12 +916,19 @@ def run_e10_aggregation(
     votes_per_software: int = 8,
     seed: int = 47,
 ) -> dict:
-    """Full vs incremental batch work, plus the polymorphic-vendor story."""
+    """The daily tick's work, plus the polymorphic-vendor story.
+
+    The paper's batch cadence folds every vote as it lands and publishes
+    at the daily tick, which audits every rated digest against a full
+    recompute and republishes only those whose published row differs.
+    On the first day that is every digest; on a quiet day with a
+    handful of new votes it is just the touched ones.
+    """
     engine = build_loaded_engine(
         software_count, user_count, votes_per_software, seed
     )
     engine.clock.advance(days(1))
-    full_report = engine.run_daily_aggregation()
+    first_tick = engine.reconcile_scores()
     # A quiet day: only a handful of new votes.
     rng = random.Random(seed + 1)
     touched = set()
@@ -933,7 +940,7 @@ def run_e10_aggregation(
         engine.cast_vote(username, software_id, rng.randint(1, 10))
         touched.add(software_id)
     engine.clock.advance(days(1))
-    incremental_report = engine.run_daily_aggregation(incremental=True)
+    quiet_tick = engine.reconcile_scores()
     # Polymorphic vendor: per-file ratings scatter, vendor rating holds.
     from ..winsim import Behavior, build_executable
 
@@ -947,16 +954,12 @@ def run_e10_aggregation(
     )
     poly = run_polymorphic_vendor(server, base, victims=30)
     rendered = render_table(
-        ["batch", "software recomputed", "votes considered"],
+        ["daily tick", "digests audited", "digests republished"],
         [
-            ["full", full_report.software_recomputed, full_report.votes_considered],
-            [
-                "incremental",
-                incremental_report.software_recomputed,
-                incremental_report.votes_considered,
-            ],
+            ["first day", first_tick.checked, first_tick.republished],
+            ["quiet day", quiet_tick.checked, quiet_tick.republished],
         ],
-        title="E10: daily aggregation work (full vs incremental)",
+        title="E10: the daily publication tick (audit all, republish what moved)",
     ) + (
         f"\npolymorphic vendor: {poly.variants_served} downloads -> "
         f"{poly.distinct_software_ids} distinct IDs, max "
@@ -964,13 +967,13 @@ def run_e10_aggregation(
         f"{format_score(poly.vendor_score)} over {poly.vendor_rated_software} files"
     )
     return {
-        "full": {
-            "software_recomputed": full_report.software_recomputed,
-            "votes_considered": full_report.votes_considered,
+        "first_day": {
+            "audited": first_tick.checked,
+            "republished": first_tick.republished,
         },
-        "incremental": {
-            "software_recomputed": incremental_report.software_recomputed,
-            "votes_considered": incremental_report.votes_considered,
+        "quiet_day": {
+            "audited": quiet_tick.checked,
+            "republished": quiet_tick.republished,
             "touched": len(touched),
         },
         "polymorphic": {

@@ -75,7 +75,7 @@ _REGISTRY: dict = {
         lambda: experiments.run_e9_policy(population_size=150),
     ),
     "e10": (
-        "Legacy daily aggregation batch + vendor ratings vs polymorphism",
+        "The daily publication tick + vendor ratings vs polymorphism",
         lambda: experiments.run_e10_aggregation(software_count=500, user_count=100),
         lambda: experiments.run_e10_aggregation(software_count=120, user_count=30),
     ),

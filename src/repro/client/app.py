@@ -401,7 +401,6 @@ class ReputationClient:
             return 0
         self.stats.batch_queries += 1
         self.stats.batched_lookups += len(items)
-        self.cache.observe_epoch(response.epoch)
         if self.config.score_cache_ttl > 0:
             for info in response.results:
                 if isinstance(info, SoftwareInfoResponse) and info.known:

@@ -2,17 +2,18 @@
 
 The paper contrasts the conventional tools' "vendor database that must
 be updated locally on the client" with the reputation client's live
-queries.  A small TTL cache is the practical middle ground: scores only
-move at the 24-hour batch anyway, so re-querying the server on every
-double-click of the same program buys nothing.  The TTL defaults to the
-aggregation period for exactly that reason.
+queries.  A small TTL cache is the practical middle ground: in the
+paper's cadence scores only move at the 24-hour tick anyway, so
+re-querying the server on every double-click of the same program buys
+nothing.  The TTL defaults to the publication period for exactly that
+reason.
 
-The cache is also **epoch-aware**: every server answer carries the
-aggregation epoch it was built at.  When an answer arrives from a newer
-epoch, every entry cached under an older epoch is dropped immediately —
-the batch has republished scores, so waiting out the TTL would serve
-stale ratings.  (Epoch 0 means "the server never published scores or
-predates epochs"; such entries rely on the TTL alone.)
+Entries are keyed by the **per-digest score version** every server
+answer and push update carries — the same key the server's response
+cache and push feed use.  Answers can arrive out of order (a batched
+prefetch racing a push, a retried request), so :meth:`ScoreCache.put`
+and :meth:`ScoreCache.apply_update` never replace a cached answer with
+one of a lower version.
 
 Eviction is LRU over an :class:`~collections.OrderedDict` — O(1) per
 operation, where the previous implementation scanned every entry for
@@ -34,11 +35,10 @@ from ..protocol import SoftwareInfoResponse
 class _CacheEntry:
     info: SoftwareInfoResponse
     stored_at: int
-    epoch: int
 
 
 class ScoreCache:
-    """A TTL + epoch LRU cache of :class:`SoftwareInfoResponse` records."""
+    """A TTL + score-version LRU cache of :class:`SoftwareInfoResponse` records."""
 
     def __init__(self, ttl: int = SECONDS_PER_DAY, max_entries: int = 4096):
         if ttl < 0:
@@ -48,41 +48,18 @@ class ScoreCache:
         self.ttl = ttl
         self.max_entries = max_entries
         self._entries: OrderedDict[str, _CacheEntry] = OrderedDict()
-        #: Entries that expired (TTL or epoch) but may still serve a
+        #: Entries that expired (TTL) but may still serve a
         #: *degraded* lookup: when the server is unreachable, yesterday's
         #: score beats no score (the ladder in ``client/app.py``).
         self._stale: OrderedDict[str, _CacheEntry] = OrderedDict()
-        #: Highest aggregation epoch seen in any server answer.
-        self._epoch = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.stale_hits = 0
 
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def observe_epoch(self, epoch: int) -> None:
-        """Note a server-reported epoch; advancing it drops stale entries."""
-        if epoch <= self._epoch:
-            return
-        self._epoch = epoch
-        stale = [
-            software_id
-            for software_id, entry in self._entries.items()
-            if 0 < entry.epoch < epoch
-        ]
-        for software_id in stale:
-            self._retire(software_id)
-
     def get(self, software_id: str, now: int) -> Optional[SoftwareInfoResponse]:
         """A fresh cached answer, or ``None`` (and a recorded miss)."""
         entry = self._entries.get(software_id)
-        if entry is not None and 0 < entry.epoch < self._epoch:
-            # A newer answer proved the batch ran since this was stored.
-            self._retire(software_id)
-            entry = None
         if entry is None or now - entry.stored_at >= self.ttl:
             if entry is not None:
                 self._retire(software_id)
@@ -92,19 +69,26 @@ class ScoreCache:
         self.hits += 1
         return entry.info
 
-    def put(self, info: SoftwareInfoResponse, now: int) -> None:
-        """Cache a server answer (evicting the LRU entry when full)."""
-        epoch = getattr(info, "epoch", 0)
-        self.observe_epoch(epoch)
-        if 0 < epoch < self._epoch:
-            return  # an answer from a bygone epoch is already stale
-        if info.software_id in self._entries:
+    def put(self, info: SoftwareInfoResponse, now: int) -> bool:
+        """Cache a server answer (evicting the LRU entry when full).
+
+        Returns ``False`` — and keeps the cached answer — when a fresh
+        entry already holds a higher score version: the answer arrived
+        out of order and is older than what the cache knows.  An equal
+        version still replaces (comments change the body, not the
+        version).
+        """
+        current = self._entries.get(info.software_id)
+        if current is not None:
+            if info.score_version < current.info.score_version:
+                return False
             del self._entries[info.software_id]
         elif len(self._entries) >= self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
         self._stale.pop(info.software_id, None)
-        self._entries[info.software_id] = _CacheEntry(info, now, epoch)
+        self._entries[info.software_id] = _CacheEntry(info, now)
+        return True
 
     def _retire(self, software_id: str) -> None:
         """Move an expired entry to the stale store (bounded LRU)."""
@@ -117,10 +101,10 @@ class ScoreCache:
         self._stale[software_id] = entry
 
     def get_stale(self, software_id: str) -> Optional[SoftwareInfoResponse]:
-        """The last known answer, *ignoring* TTL and epoch freshness.
+        """The last known answer, *ignoring* TTL freshness.
 
         Degraded mode only (server unreachable, retries exhausted, or
-        the circuit open): a score from the previous aggregation period
+        the circuit open): a score from the previous publication period
         still beats asking the user blind.  Never consulted while the
         server answers.
         """
@@ -139,8 +123,6 @@ class ScoreCache:
         entry = self._entries.get(software_id)
         if entry is None:
             return False
-        if 0 < entry.epoch < self._epoch:
-            return False
         return now - entry.stored_at < self.ttl
 
     def apply_update(
@@ -157,12 +139,12 @@ class ScoreCache:
         vendor score, behaviours), so it can only *amend* an answer we
         already hold — fresh **or stale**: pushed data is live by
         definition, so a stale entry it lands on is re-promoted with a
-        reset TTL.  Returns ``False`` (nothing cached to patch) when
-        the digest was never queried; the next lookup fetches the full
-        answer anyway.
+        reset TTL.  Returns ``False`` when the digest was never queried
+        (the next lookup fetches the full answer anyway) or when the
+        update is older than the cached answer's version.
         """
         entry = self._entries.get(software_id) or self._stale.get(software_id)
-        if entry is None:
+        if entry is None or version < entry.info.score_version:
             return False
         info = dataclasses.replace(
             entry.info,
@@ -170,8 +152,7 @@ class ScoreCache:
             vote_count=vote_count,
             score_version=version,
         )
-        self.put(info, now)
-        return True
+        return self.put(info, now)
 
     def demote(self, software_id: str) -> None:
         """Push feed signalled a resync: updates for this digest were

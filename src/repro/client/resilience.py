@@ -3,7 +3,7 @@
 The paper's client pauses a process launch on every lookup, so a slow
 or dead server must never translate into a hung machine: the client
 retries briefly, gives up inside a hard per-request **deadline budget**,
-and then walks the degradation ladder (epoch-cached score → local
+and then walks the degradation ladder (cached score → local
 white/black lists → the configured default decision — see
 ``client/app.py``).  This module supplies the mechanics:
 

@@ -80,7 +80,6 @@ DERIVED_TABLES = frozenset({
     "score_sums",
     "software_scores",
     "aggregation_meta",
-    "aggregation_dirty",
     "replication_meta",
 })
 
@@ -455,9 +454,7 @@ class ShardServer:
             self.server.lookup_software(item.software_id)
             for item in request.items
         )
-        return QuerySoftwareBatchResponse(
-            results=results, epoch=self.engine.aggregator.epoch
-        )
+        return QuerySoftwareBatchResponse(results=results)
 
     # -- lifecycle --------------------------------------------------------
 

@@ -7,9 +7,9 @@ Subpackage layout (Sec. 3 of DESIGN.md):
 * :mod:`~repro.core.trust` — user trust factors with the weekly growth cap.
 * :mod:`~repro.core.ratings` — 1–10 votes, one per user per software.
 * :mod:`~repro.core.comments` — comments and positive/negative remarks.
-* :mod:`~repro.core.aggregation` — the daily trust-weighted batch
-  (legacy / baseline mode).
-* :mod:`~repro.core.scoring` — per-vote streaming delta aggregation.
+* :mod:`~repro.core.aggregation` — published score rows and versions.
+* :mod:`~repro.core.scoring` — the trust-weighted fold and its two
+  publication cadences (daily tick or per vote).
 * :mod:`~repro.core.vendor` — vendor reputation (mean of software scores).
 * :mod:`~repro.core.bootstrap` — seeding the database from a prior corpus.
 * :mod:`~repro.core.moderation` — the admin moderation queue.

@@ -1,4 +1,4 @@
-"""The daily aggregation batch — now the **legacy / baseline** mode.
+"""Published software scores and the publication cadence.
 
 Section 3.2: *"Software ratings are calculated at fixed points in time
 (currently once in every 24-hour period).  During this work users' trust
@@ -13,41 +13,19 @@ Weighting by trust is the paper's first mitigation against incorrect
 information: "as soon as more experienced users give contradicting votes,
 their opinions will carry a higher weight, tipping the balance".
 
-.. note:: **Legacy / baseline.**  Since the streaming refactor the
-   periodic batch is retained as the E10 baseline and as the
-   full-recompute oracle for the streaming reconciliation pass
-   (:mod:`.scoring`).  New deployments run the engine with
-   ``scoring_mode="streaming"``, which publishes a fresh per-digest
-   score version on every vote or trust change instead of waiting for
-   the 24-hour window.
+The mean is computed by the fold in :mod:`.scoring`, which also decides
+*when* to publish.  This module owns what is published: the score rows
+readers see, their per-digest **score versions** (every publish bumps
+the digest's version — the per-digest cache key), the listeners told of
+every publication, and the durable ``last_run`` stamp of the daily slot.
 
-The aggregator supports two batch modes, compared in experiment E10:
-
-* **full** — recompute every rated software (the paper's nightly batch);
-* **incremental** — recompute only software whose vote set changed since
-  the previous run (the rating book's dirty set).
-
-Both modes are durable: ``last_run`` and the monotonically increasing
-**aggregation epoch** live in a meta table (and the dirty set in its
-own table, see :mod:`.ratings`), so an incremental run by a freshly
-constructed aggregator on a recovered database picks up exactly where
-the previous process stopped.  The epoch bumps whenever a batch
-republishes at least one score; the **per-digest score version** bumps
-on *every individual publish* of that digest and is stamped onto its
-score row, giving caches a per-digest invalidation key (an unchanged
-version certifies that one digest's published score is unchanged —
-strictly finer than the global epoch).
-
-Publishing supports two write modes.  The batch writes score rows
-through to the table as it always has.  The streaming path publishes
-with ``defer=True``: the row lands in the aggregator's in-memory row
-cache (which every reader consults first) and is flushed to the table
-in batches — at reconciliation, shutdown, or any explicit
-:meth:`Aggregator.flush_deferred`.  Scores are *derived* state: the
-WAL-durable votes and trust rows reproduce them exactly on rebuild, so
-deferring their table writes costs crash-freshness (repaired by the
-bootstrap reconciliation) but keeps the vote ingest path at one WAL
-mutation per vote.
+Publishing lands in the aggregator's in-memory row cache (which every
+reader consults first); rows are flushed to the table in batches — at
+reconciliation, shutdown, or any explicit :meth:`Aggregator.flush_deferred`.
+Scores are *derived* state: the WAL-durable votes and trust rows
+reproduce them exactly on rebuild, so deferring their table writes
+costs crash-freshness (repaired by the bootstrap reconciliation) but
+keeps the vote ingest path at one WAL mutation per vote.
 """
 
 from __future__ import annotations
@@ -58,18 +36,15 @@ from typing import Callable, Optional
 
 from ..clock import SECONDS_PER_DAY
 from ..storage import Column, ColumnType, Database, Schema
-from .ratings import RatingBook
-from .trust import TrustLedger
 
 SCORES_SCHEMA_NAME = "software_scores"
 AGGREGATION_META_SCHEMA_NAME = "aggregation_meta"
 
 _META_LAST_RUN = "last_run"
-_META_EPOCH = "epoch"
 
 
 def aggregation_meta_schema() -> Schema:
-    """Key/value rows (JSON-encoded values) for batch bookkeeping."""
+    """Key/value rows (JSON-encoded values) for the daily slot's bookkeeping."""
     return Schema(
         name=AGGREGATION_META_SCHEMA_NAME,
         columns=[
@@ -114,10 +89,9 @@ class SoftwareScore:
 class ScoreUpdate:
     """One score publication — the event pushed to subscribers.
 
-    Emitted by both the batch and the streaming paths whenever a score
-    row is (re)published.  ``previous_score`` is ``None`` for a digest's
-    first publication; policy-threshold subscriptions compare it against
-    ``score`` to detect crossings.
+    Emitted whenever a score row is (re)published.  ``previous_score``
+    is ``None`` for a digest's first publication; policy-threshold
+    subscriptions compare it against ``score`` to detect crossings.
     """
 
     software_id: str
@@ -129,43 +103,23 @@ class ScoreUpdate:
     previous_score: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class AggregationReport:
-    """What one batch run did (diagnostics and benchmarks)."""
-
-    ran_at: int
-    software_recomputed: int
-    votes_considered: int
-    mode: str
-    #: The aggregation epoch in force after this run.
-    epoch: int = 0
-
-
 class Aggregator:
-    """Computes and publishes trust-weighted software scores."""
+    """Publishes trust-weighted software scores and serves them to readers."""
 
-    #: The paper's batch period: once every 24 hours.
+    #: The paper's publication period: once every 24 hours.
     period_seconds = SECONDS_PER_DAY
 
-    def __init__(
-        self,
-        database: Database,
-        ratings: RatingBook,
-        trust: TrustLedger,
-    ):
+    def __init__(self, database: Database):
         self._db = database
-        self._ratings = ratings
-        self._trust = trust
-        #: Callbacks invoked with a :class:`ScoreUpdate` on every publish
-        #: (batch and streaming).  The engine fans these out to the
-        #: server-push subscription registry and to experiment probes.
+        #: Callbacks invoked with a :class:`ScoreUpdate` on every publish.
+        #: The engine fans these out to the server-push subscription
+        #: registry and to experiment probes.
         self.listeners: list = []
         #: Write-through row cache: every publish lands here first and
         #: every read consults it first, so deferred (not yet flushed to
         #: the table) publications are immediately visible in-process.
         self._row_cache: dict[str, dict] = {}
-        #: Digests published with ``defer=True`` whose rows still await
-        #: a table flush.
+        #: Published digests whose rows still await a table flush.
         self._deferred: set = set()
         if database.has_table(SCORES_SCHEMA_NAME):
             self._scores = database.table(SCORES_SCHEMA_NAME)
@@ -236,7 +190,7 @@ class Aggregator:
             version=row.get("version") or 0,
         )
 
-    # -- durable batch bookkeeping ----------------------------------------
+    # -- durable daily-slot bookkeeping ----------------------------------
 
     def _meta_get(self, key: str):
         row = self._meta.get_or_none(key)
@@ -247,28 +201,19 @@ class Aggregator:
 
     @property
     def last_run(self) -> Optional[int]:
-        """When the last batch ran — read from the meta table, so a
+        """When the daily slot last ran — read from the meta table, so a
         freshly constructed aggregator on a recovered database sees the
         previous process's runs."""
         return self._meta_get(_META_LAST_RUN)
-
-    @property
-    def epoch(self) -> int:
-        """The aggregation epoch: bumped whenever scores are republished.
-
-        Starts at 0 (nothing ever published).  Caches key on it: equal
-        epochs guarantee equal published scores.
-        """
-        return self._meta_get(_META_EPOCH) or 0
 
     def version_of(self, software_id: str) -> int:
         """The published score version of one digest (0 if never published).
 
         This is the per-digest cache key: equal versions guarantee an
-        unchanged published score for *this* digest, without the global
-        flush semantics of the epoch.  Versions are monotonic per digest
-        (each publish bumps its own counter), which is all a per-digest
-        key needs — no global allocator on the hot path.
+        unchanged published score for *this* digest.  Versions are
+        monotonic per digest (each publish bumps its own counter), which
+        is all a per-digest key needs — no global allocator on the hot
+        path.
         """
         row = self._cached_row(software_id)
         if row is None:
@@ -276,15 +221,14 @@ class Aggregator:
         return row.get("version") or 0
 
     def is_due(self, now: int) -> bool:
-        """True if a batch should run (period elapsed or never run)."""
+        """True if the daily slot is due (period elapsed or never run)."""
         last_run = self.last_run
         if last_run is None:
             return True
         return now - last_run >= self.period_seconds
 
     def mark_ran(self, now: int) -> None:
-        """Record a periodic-job run (streaming reconciliation uses the
-        same 24-hour scheduling slot as the legacy batch)."""
+        """Record a run of the daily slot (the reconciliation tick)."""
         self._meta_put(_META_LAST_RUN, now)
 
     # -- publishing ------------------------------------------------------------
@@ -300,21 +244,15 @@ class Aggregator:
         vote_count: int,
         total_weight: float,
         now: int,
-        defer: bool = False,
     ) -> ScoreUpdate:
         """Publish one score row under the digest's next version.
 
         The single write path for the score table (lint rule REP007
-        keeps it that way): both the batch loop and the streaming
-        scorer land here, so versioning and listener notification are
-        uniform across modes.
-
-        ``defer=True`` (the streaming hot path) publishes into the row
-        cache only — visible to every in-process reader at once — and
-        leaves the table write to :meth:`flush_deferred`.  Score rows
-        are derived state: a crash before the flush loses no votes, and
-        the bootstrap reconciliation republishes from the recovered
-        vote table.
+        keeps it that way).  The row lands in the row cache — visible
+        to every in-process reader at once — and the table write waits
+        for :meth:`flush_deferred`.  Score rows are derived state: a
+        crash before the flush loses no votes, and the bootstrap
+        reconciliation republishes from the recovered vote table.
         """
         previous = self._cached_row(software_id)
         version = (0 if previous is None else (previous.get("version") or 0)) + 1
@@ -327,11 +265,7 @@ class Aggregator:
             "version": version,
         }
         self._row_cache[software_id] = row
-        if defer:
-            self._deferred.add(software_id)
-        else:
-            self._scores.upsert(row)
-            self._deferred.discard(software_id)
+        self._deferred.add(software_id)
         update = ScoreUpdate(
             software_id=software_id,
             score=score,
@@ -379,60 +313,6 @@ class Aggregator:
                 for software_id in sorted(deferred):
                     self._scores.upsert(self._row_cache[software_id])
         return len(deferred)
-
-    # -- running the batch ------------------------------------------------------
-
-    def run(self, now: int, incremental: bool = False) -> AggregationReport:
-        """Execute the batch and publish scores (legacy / E10 baseline).
-
-        *incremental* restricts recomputation to software with new votes
-        since the last run; a full run also drains the dirty set so the
-        two modes compose.
-        """
-        if incremental:
-            targets = self._ratings.drain_dirty()
-            mode = "incremental"
-        else:
-            targets = self._ratings.rated_software_ids()
-            self._ratings.drain_dirty()
-            mode = "full"
-        votes_considered = 0
-        published = 0
-        for software_id in sorted(targets):
-            votes = self._ratings.votes_for(software_id)
-            votes_considered += len(votes)
-            score = self._weighted_score(votes)
-            if score is None:
-                continue
-            value, total_weight = score
-            self.publish(software_id, value, len(votes), total_weight, now)
-            published += 1
-        self._meta_put(_META_LAST_RUN, now)
-        if published:
-            # Scores moved: bump the epoch so every epoch-keyed cache
-            # (server-side and client-side) discards its entries.
-            self._meta_put(_META_EPOCH, self.epoch + 1)
-        return AggregationReport(
-            ran_at=now,
-            software_recomputed=len(targets),
-            votes_considered=votes_considered,
-            mode=mode,
-            epoch=self.epoch,
-        )
-
-    def _weighted_score(self, votes: list) -> Optional[tuple]:
-        """Trust-weighted mean of *votes*; ``None`` if there are none."""
-        if not votes:
-            return None
-        weighted_sum = 0.0
-        total_weight = 0.0
-        for vote in votes:
-            weight = self._trust.weight_of(vote.username)
-            weighted_sum += weight * vote.score
-            total_weight += weight
-        if total_weight <= 0:
-            return None
-        return weighted_sum / total_weight, total_weight
 
 
 def unweighted_mean(votes: list) -> Optional[float]:

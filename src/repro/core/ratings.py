@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import (
-    DuplicateKeyError,
-    DuplicateVoteError,
-    RowNotFoundError,
-    ServerError,
-)
+from ..errors import DuplicateKeyError, DuplicateVoteError, ServerError
 from ..storage import Column, ColumnType, Database, Schema
 
 #: The paper's rating scale.
@@ -24,7 +19,6 @@ MIN_SCORE = 1
 MAX_SCORE = 10
 
 VOTES_SCHEMA_NAME = "votes"
-DIRTY_SCHEMA_NAME = "aggregation_dirty"
 
 
 def _escape_key_part(part: str) -> str:
@@ -40,20 +34,6 @@ def _escape_key_part(part: str) -> str:
 def vote_key(username: str, software_id: str) -> str:
     """The primary key of one (user, software) vote."""
     return f"{_escape_key_part(username)}:{_escape_key_part(software_id)}"
-
-
-def dirty_schema() -> Schema:
-    """Software touched since the last drain, one row per software.
-
-    A table (not an in-memory set) so the incremental aggregation mode
-    survives restart: the rows travel through the WAL and come back on
-    :meth:`~repro.storage.Database.recover`.
-    """
-    return Schema(
-        name=DIRTY_SCHEMA_NAME,
-        columns=[Column("software_id", ColumnType.TEXT)],
-        primary_key="software_id",
-    )
 
 
 def votes_schema() -> Schema:
@@ -104,12 +84,6 @@ class RatingBook:
             self._table.create_index("username", kind="hash")
         if not self._table.has_index("timestamp"):
             self._table.create_index("timestamp", kind="sorted")
-        #: software IDs with votes added since the last aggregation run,
-        #: kept in a WAL-logged table so incremental runs survive restart.
-        if database.has_table(DIRTY_SCHEMA_NAME):
-            self._dirty_table = database.table(DIRTY_SCHEMA_NAME)
-        else:
-            self._dirty_table = database.create_table(dirty_schema())
 
     def cast(self, username: str, software_id: str, score: int, now: int) -> Vote:
         """Record a vote; raises :class:`DuplicateVoteError` on a repeat."""
@@ -132,7 +106,6 @@ class RatingBook:
             raise DuplicateVoteError(
                 f"user has already voted on {software_id!r}"
             ) from None
-        self._mark_dirty(software_id)
         return vote
 
     def has_voted(self, username: str, software_id: str) -> bool:
@@ -182,40 +155,3 @@ class RatingBook:
                 Vote(row["username"], row["software_id"], row["score"], row["timestamp"])
             )
         return votes
-
-    # -- dirty tracking for incremental aggregation ------------------------
-
-    def mark_dirty(self, software_id: str) -> None:
-        """Queue *software_id* for the next incremental aggregation run.
-
-        Votes mark themselves on :meth:`cast`; the engine also marks a
-        user's voted digests when their *trust* moves, so incremental
-        batch runs republish scores whose only change is a re-weight.
-        """
-        self._mark_dirty(software_id)
-
-    def _mark_dirty(self, software_id: str) -> None:
-        if software_id in self._dirty_table:
-            return
-        try:
-            self._dirty_table.insert({"software_id": software_id})
-        except DuplicateKeyError:
-            pass  # a concurrent vote on the same software beat us to it
-
-    def dirty_software_ids(self) -> set:
-        """Software touched since the dirty set was last drained."""
-        return {row["software_id"] for row in self._dirty_table.all()}
-
-    def drain_dirty(self) -> set:
-        """Return and clear the dirty set (called by the aggregator).
-
-        Votes landing *during* the drain stay marked for the next run:
-        only the snapshot taken here is deleted.
-        """
-        drained = set(self._dirty_table.primary_keys())
-        for software_id in drained:
-            try:
-                self._dirty_table.delete(software_id)
-            except RowNotFoundError:  # pragma: no cover - concurrent drain
-                pass
-        return drained

@@ -7,10 +7,10 @@ behaviours the paper describes:
 
 * remarks on a comment move the *comment author's* trust factor
   (Sec. 2.1's reliability profile / Sec. 3.2's trust factors);
-* scores are trust-weighted means of votes (Sec. 3.2), published either
-  by the legacy daily batch (``scoring_mode="batch"``) or immediately
-  per vote/trust change by the streaming pipeline
-  (``scoring_mode="streaming"``, see :mod:`.scoring`);
+* scores are trust-weighted means of votes (Sec. 3.2), folded by one
+  streaming pipeline (:mod:`.scoring`) on every vote and trust change;
+  ``scoring_mode`` only picks when the fold publishes — at the daily
+  tick (``"batch"``, the paper's cadence) or at once (``"streaming"``);
 * vendor reputations derive from published software scores (Sec. 3.2).
 """
 
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..clock import SimClock
 from ..errors import ServerError
 from ..storage import Database
-from .aggregation import AggregationReport, Aggregator, ScoreUpdate, SoftwareScore
+from .aggregation import Aggregator, ScoreUpdate, SoftwareScore
 from .comments import Comment, CommentBoard, Remark
 from .moderation import ModerationQueue
 from .ratings import RatingBook, Vote
@@ -71,33 +71,24 @@ class ReputationEngine:
         self.last_collusion_report = None
         self.ratings = RatingBook(self.db)
         self.comments = CommentBoard(self.db, moderated=moderated_comments)
-        self.aggregator = Aggregator(self.db, self.ratings, self.trust)
+        self.aggregator = Aggregator(self.db)
         self.vendors = VendorBook(self.db, self.aggregator)
         self.moderation: Optional[ModerationQueue] = (
             ModerationQueue(self.comments) if moderated_comments else None
         )
-        # Score publications (both modes) buffer while a storage
-        # transaction is open and fan out to listeners only after it
-        # commits — subscribers never observe a state that rolls back.
+        # Score publications buffer while a storage transaction is open
+        # and fan out to listeners only after it commits — subscribers
+        # never observe a state that rolls back.
         self._score_listeners: list = []
         self._pending_updates: list = []
         self.aggregator.add_listener(self._on_score_published)
-        self.scorer: Optional[StreamingScorer] = None
-        if scoring_mode == SCORING_STREAMING:
-            self.scorer = StreamingScorer(
-                self.db, self.ratings, self.trust, self.aggregator
-            )
-            self.trust.add_listener(self._on_trust_changed)
-            self.bootstrap_scores()
-        else:
-            # Batch mode republishes through the dirty set, which votes
-            # populate but trust mutations historically did not: an
-            # incremental run after a pure re-weight would skip every
-            # affected digest and serve stale weighted means.  Mark the
-            # user's voted digests on every trust change so incremental
-            # runs republish them (the streaming branch re-weights
-            # through the scorer listener above instead).
-            self.trust.add_listener(self._on_trust_changed_batch)
+        #: Publish every folded change at once, or wait for the tick.
+        self._publish_immediately = scoring_mode == SCORING_STREAMING
+        self.scorer = StreamingScorer(
+            self.db, self.ratings, self.trust, self.aggregator
+        )
+        self.trust.add_listener(self._on_trust_changed)
+        self.bootstrap_scores()
 
     # -- score publication fan-out ------------------------------------------
 
@@ -126,12 +117,9 @@ class ReputationEngine:
         self._dispatch_updates(updates)
 
     def _on_trust_changed(self, username: str, old: float, new: float) -> None:
-        assert self.scorer is not None
-        self.scorer.apply_trust_change(username, old, new, self.clock.now())
-
-    def _on_trust_changed_batch(self, username: str, old: float, new: float) -> None:
-        for vote in self.ratings.votes_by(username):
-            self.ratings.mark_dirty(vote.software_id)
+        self.scorer.apply_trust_change(
+            username, old, new, self.clock.now(), self._publish_immediately
+        )
 
     # -- membership ---------------------------------------------------------
 
@@ -164,19 +152,14 @@ class ReputationEngine:
     def cast_vote(self, username: str, software_id: str, score: int) -> Vote:
         """Record a 1–10 vote (one per user per software).
 
-        In streaming mode the new score version is visible (and pushed)
-        the instant this returns: the vote row is the only durable
-        write, and the running-sum delta plus the republished score are
-        in-memory derived state (see :mod:`.scoring` for the durability
-        model).
+        The vote row is the only durable write; the running-sum delta
+        (and, in streaming mode, the new score version, visible and
+        pushed the instant this returns) are in-memory derived state
+        (see :mod:`.scoring` for the durability model).
         """
         consensus = self._settled_consensus(software_id)
         vote = self.ratings.cast(username, software_id, score, self.clock.now())
-        if self.scorer is not None:
-            # Memory-only: the vote insert above was the one durable
-            # write; the delta lands in the scorer's in-memory sums and
-            # the new score version in the aggregator's row cache.
-            self.scorer.apply_vote(vote)
+        self.scorer.apply_vote(vote, self._publish_immediately)
         if consensus is not None and self.trust.is_enrolled(username):
             # Bayesian evidence: judge the vote against the consensus
             # that was settled *before* it landed.  Agreement earns
@@ -220,35 +203,25 @@ class ReputationEngine:
         the votes and comments of well-known, reliable users more visible
         and influential".
         """
-        if self.scorer is None:
-            return self._add_remark_and_adjust_trust(
-                username, comment_id, positive
-            )
         try:
             with self.db.transaction():
-                remark = self._add_remark_and_adjust_trust(
-                    username, comment_id, positive
+                remark = self.comments.add_remark(
+                    username, comment_id, positive, self.clock.now()
                 )
+                author = self.comments.get_comment(comment_id).username
+                policy = self.trust.policy
+                if positive:
+                    self.trust.credit(
+                        author,
+                        policy.credit_per_positive_remark,
+                        self.clock.now(),
+                    )
+                else:
+                    self.trust.debit(author, policy.debit_per_negative_remark)
         except BaseException:
             self._pending_updates.clear()
             raise
         self._flush_pending_updates()
-        return remark
-
-    def _add_remark_and_adjust_trust(
-        self, username: str, comment_id: int, positive: bool
-    ) -> Remark:
-        remark = self.comments.add_remark(
-            username, comment_id, positive, self.clock.now()
-        )
-        author = self.comments.get_comment(comment_id).username
-        policy = self.trust.policy
-        if positive:
-            self.trust.credit(
-                author, policy.credit_per_positive_remark, self.clock.now()
-            )
-        else:
-            self.trust.debit(author, policy.debit_per_negative_remark)
         return remark
 
     # -- replication (follower-side derived state) ---------------------------
@@ -260,13 +233,10 @@ class ReputationEngine:
         then feed each vote through here — the same per-vote delta path
         :meth:`cast_vote` uses, so follower scores are bit-identical to
         the leader's (see :mod:`.scoring` on exactness) without shipping
-        any derived rows.  Publishes (and pushes) the new score version.
+        any derived rows.  Publishes (and pushes) the new score version
+        in the streaming cadence.
         """
-        if self.scorer is None:
-            raise ServerError(
-                "replicated scoring requires streaming scoring mode"
-            )
-        self.scorer.apply_vote(vote)
+        self.scorer.apply_vote(vote, self._publish_immediately)
 
     def fold_replicated_trust(
         self, username: str, old_weight: float, new_weight: float
@@ -277,12 +247,12 @@ class ReputationEngine:
         trust-row mutation and the new weight after; this folds the
         delta exactly like the leader's own trust listener did.
         """
-        if self.scorer is None:
-            raise ServerError(
-                "replicated scoring requires streaming scoring mode"
-            )
         self.scorer.apply_trust_change(
-            username, old_weight, new_weight, self.clock.now()
+            username,
+            old_weight,
+            new_weight,
+            self.clock.now(),
+            self._publish_immediately,
         )
 
     def ranked_comments(self, software_id: str) -> list:
@@ -306,16 +276,12 @@ class ReputationEngine:
 
     # -- published reputations -------------------------------------------------------
 
-    def run_daily_aggregation(self, incremental: bool = False) -> AggregationReport:
-        """Run the 24-hour batch at the current simulated time (legacy mode)."""
-        return self.aggregator.run(self.clock.now(), incremental=incremental)
+    def maybe_run_aggregation(self) -> Optional[ReconciliationReport]:
+        """Run the daily slot only if the 24-hour period has elapsed.
 
-    def maybe_run_aggregation(self) -> Optional[AggregationReport]:
-        """Run the periodic job only if the 24-hour period has elapsed.
-
-        Batch mode runs the score batch; streaming mode — where every
-        score is already current — runs the reconciliation audit in the
-        same slot instead.
+        Trust maintenance, then the reconciliation tick — the batch
+        cadence's publication, the streaming cadence's audit.  Returns
+        the tick's report, or ``None`` when the slot is not due.
         """
         if not self.aggregator.is_due(self.clock.now()):
             return None
@@ -325,10 +291,7 @@ class ReputationEngine:
             self.trust.refresh(self.clock.now())
         if self.collusion_enabled:
             self.run_collusion_pass()
-        if self.scorer is not None:
-            self.reconcile_scores()
-            return None
-        return self.run_daily_aggregation()
+        return self.reconcile_scores()
 
     def run_collusion_pass(self):
         """Scan the interaction graph; penalize flagged users.
@@ -354,43 +317,45 @@ class ReputationEngine:
         return report
 
     def reconcile_scores(self) -> ReconciliationReport:
-        """Audit streaming running sums against a full recompute; repair drift."""
-        if self.scorer is None:
-            raise ServerError("reconciliation requires streaming scoring mode")
+        """The daily tick at the current simulated time.
+
+        Recomputes every digest, repairs drifted sums, and republishes
+        every digest whose published row differs — the 24-hour
+        publication of the batch cadence, the audit of the streaming one.
+        """
         report = self.scorer.reconcile(self.clock.now())
         self.aggregator.mark_ran(self.clock.now())
         return report
 
     def bootstrap_scores(self, reload: bool = False) -> None:
-        """Bring streaming derived state in line with the vote table.
+        """Bring the derived score state in line with the vote table.
 
         Sums and score rows are derived state flushed in batches, so a
-        crash (or a database that grew up under the batch) leaves the
-        persisted snapshot lagging the WAL-durable votes.  Reconcile
-        before serving: recompute from the votes, repair and republish
-        whatever moved.  Runs at engine construction; a server that
-        recovers its database *after* building the engine re-runs it
-        with ``reload=True`` to discard the pre-recovery caches first.
-        Batch mode needs none of this — it's a no-op there.
+        crash leaves the persisted snapshot lagging the WAL-durable
+        votes.  Rebuild before serving: the streaming cadence reconciles
+        (recompute, repair and republish whatever moved); the batch
+        cadence rebuilds the sums only and leaves publication to the
+        next tick.  Runs at engine construction; a server that recovers
+        its database *after* building the engine re-runs it with
+        ``reload=True`` to discard the pre-recovery caches first.
         """
-        if self.scorer is None:
-            return
         if reload:
             self.aggregator.reset_cache()
             self.scorer.reload()
-        if not self.scorer.in_sync_with_votes():
+        if self.scorer.in_sync_with_votes():
+            return
+        if self._publish_immediately:
             self.scorer.reconcile(self.clock.now())
+        else:
+            self.scorer.rebuild(self.clock.now())
 
     def flush_scores(self) -> int:
-        """Persist in-memory derived score state (streaming write-back).
+        """Persist in-memory derived score state (write-back).
 
-        The streaming hot path defers sums/score-row table writes (the
-        vote itself is the only per-commit WAL mutation); this flushes
-        them in one grouped transaction.  Call before closing the
-        database.  Batch mode writes through, so this is a no-op there.
+        The fold defers sums/score-row table writes (the vote itself is
+        the only per-commit WAL mutation); this flushes them in one
+        grouped transaction.  Call before closing the database.
         """
-        if self.scorer is None:
-            return 0
         return self.scorer.flush()
 
     def software_reputation(self, software_id: str) -> Optional[SoftwareScore]:

@@ -1,18 +1,21 @@
-"""Streaming score pipeline: per-vote delta aggregation.
+"""The score pipeline: one streaming fold, two publication cadences.
 
-The paper computes ratings "at fixed points in time (currently once in
-every 24-hour period)" (Sec. 3.2), so a freshly reported PIS outbreak
-stays invisible for up to a day.  This module removes that window: for
-every rated digest it maintains **trust-weighted running sums** ::
+For every rated digest this module maintains **trust-weighted running
+sums** ::
 
     weighted_sum(s) = sum(trust(u) * vote(u, s))
     weight_sum(s)   = sum(trust(u))
 
-updated on every vote (or trust change) inside the mutation's own
-transaction scope, and republishes ``weighted_sum / weight_sum`` under
-a fresh per-digest score version immediately.  The 24-hour batch
-(:mod:`.aggregation`) survives as the legacy baseline and as this
-module's full-recompute oracle.
+updated on every vote (or trust change), and publishes
+``weighted_sum / weight_sum`` under a fresh per-digest score version
+through :meth:`~.aggregation.Aggregator.publish`: the ledger supplies
+weights, the fold aggregates, and the cadence decides when a folded
+score becomes visible.  With ``publish=True`` (the engine's
+``"streaming"`` mode) a moved digest is republished at once; with
+``publish=False`` (``"batch"``, the paper's "once in every 24-hour
+period", Sec. 3.2) it is only folded, and the daily tick
+(:meth:`StreamingScorer.reconcile`) recomputes every digest from the
+vote table and republishes those whose published row differs.
 
 Two kinds of event move the sums:
 
@@ -24,20 +27,20 @@ Two kinds of event move the sums:
 **Durability model.**  The sums (and the score rows they publish) are
 *derived* state: the WAL-durable vote and trust tables reproduce them
 exactly.  So the hot path keeps them in memory — the vote ingest
-transaction carries exactly the same single WAL mutation as batch mode
-— and :meth:`StreamingScorer.flush` persists the in-memory state to the
+transaction carries one WAL mutation, the vote row — and
+:meth:`StreamingScorer.flush` persists the in-memory state to the
 ``score_sums`` table in batches: at every reconciliation pass, at
 shutdown, or on demand.  After a crash the engine's bootstrap detects
 the persisted snapshot lagging the vote table (vote counts disagree)
-and reconciles — recomputing every digest from the votes and
-republishing the ones that moved — before serving a single query.
+and rebuilds the sums from the votes before serving a single query
+(republishing the ones that moved, in the streaming cadence).
 The crash-recovery property tests pin exactly this: a torn WAL replay
 plus bootstrap reconciliation reproduces bit-identical per-digest sums.
 
 Exactness, not approximation: policy trust factors move in 0.5 steps
 between 1 and 100 and votes are integers 1–10, so every product and
 partial sum is an exactly representable binary float — the running
-sums equal the batch recompute bit-for-bit, independent of arrival
+sums equal the full recompute bit-for-bit, independent of arrival
 order.  Arbitrary floats (``force_set`` bootstrap trust) may introduce
 rounding drift, which is exactly what :meth:`StreamingScorer.reconcile`
 exists to bound: it recomputes every digest from the vote table and
@@ -73,26 +76,26 @@ def sums_schema() -> Schema:
 
 @dataclass(frozen=True)
 class ReconciliationReport:
-    """Outcome of one reconciliation pass (streaming mode's audit)."""
+    """Outcome of one reconciliation pass (the daily tick)."""
 
     ran_at: int
     #: Digests whose running sums were checked against full recompute.
     checked: int
-    #: Digests whose sums did not match the recompute exactly.
+    #: Digests whose sums or published row did not match the recompute.
     mismatched: int
-    #: Digests whose published score row changed after repair.
+    #: Digests whose published score row differed and was republished.
     republished: int
 
 
 class StreamingScorer:
-    """Maintains running sums and publishes scores on every mutation.
+    """Maintains running sums; publishes on a mutation or at the tick.
 
     Writes go through the :class:`~.aggregation.Aggregator`'s
-    ``publish()`` so versioning and listener fan-out are shared with
-    the batch path.  The sums live in memory (``_sums``, authoritative
-    while the process runs) and are persisted by :meth:`flush`; the
-    constructor loads the last persisted snapshot, and the engine's
-    bootstrap reconciles if that snapshot lags the vote table.
+    ``publish()``, which owns versioning and listener fan-out.  The
+    sums live in memory (``_sums``, authoritative while the process
+    runs) and are persisted by :meth:`flush`; the constructor loads the
+    last persisted snapshot, and the engine's bootstrap rebuilds if
+    that snapshot lags the vote table.
     """
 
     def __init__(
@@ -127,8 +130,12 @@ class StreamingScorer:
 
     # -- delta updates -------------------------------------------------------
 
-    def apply_vote(self, vote: Vote) -> ScoreUpdate:
-        """Fold one freshly inserted vote into the digest's sums and publish."""
+    def apply_vote(self, vote: Vote, publish: bool) -> None:
+        """Fold one freshly inserted vote into the digest's sums.
+
+        With *publish* the new score is published at once; otherwise it
+        waits for the next :meth:`reconcile` tick.
+        """
         weight = self._weights.get(vote.username)
         if weight is None:
             weight = self._trust.weight_of(vote.username)
@@ -142,34 +149,42 @@ class StreamingScorer:
             entry[1] += weight
             entry[2] += 1
         self._dirty.add(vote.software_id)
-        return self._publish(
-            vote.software_id, entry[0], entry[1], entry[2], vote.timestamp
-        )
+        if publish:
+            self._publish(
+                vote.software_id, entry[0], entry[1], entry[2], vote.timestamp
+            )
 
     def apply_trust_change(
-        self, username: str, old_weight: float, new_weight: float, now: int
-    ) -> list:
-        """Re-weight every vote *username* has cast; publish moved digests."""
+        self,
+        username: str,
+        old_weight: float,
+        new_weight: float,
+        now: int,
+        publish: bool,
+    ) -> None:
+        """Re-weight every vote *username* has cast.
+
+        With *publish* each moved digest is republished at once;
+        otherwise the next :meth:`reconcile` tick publishes them.
+        """
         self._weights[username] = new_weight
         delta = new_weight - old_weight
         if delta == 0:
-            return []
-        updates = []
+            return
         for vote in self._ratings.votes_by(username):
             entry = self._sums.get(vote.software_id)
             if entry is None:
-                # Sums not bootstrapped for this digest (e.g. engine
-                # switched modes mid-life); rebuild folds it in later.
+                # Sums not yet rebuilt for this digest (a recovered
+                # database before its bootstrap); the rebuild folds the
+                # new weight in.
                 continue
             entry[0] += delta * vote.score
             entry[1] += delta
             self._dirty.add(vote.software_id)
-            updates.append(
+            if publish:
                 self._publish(
                     vote.software_id, entry[0], entry[1], entry[2], now
                 )
-            )
-        return updates
 
     def _publish(
         self,
@@ -191,7 +206,6 @@ class StreamingScorer:
             vote_count,
             weight_sum,
             now,
-            defer=True,
         )
 
     # -- persistence ---------------------------------------------------------
@@ -244,9 +258,9 @@ class StreamingScorer:
         """Does the loaded sums state cover exactly the recorded votes?
 
         Cheap staleness probe for the engine's bootstrap: after a crash
-        (or a mode switch from batch) the persisted snapshot lags the
-        vote table, the per-digest vote counts stop adding up, and the
-        bootstrap must reconcile before serving scores.
+        the persisted snapshot lags the vote table, the per-digest vote
+        counts stop adding up, and the bootstrap must rebuild before
+        serving scores.
         """
         total = 0
         for entry in self._sums.values():
@@ -272,10 +286,9 @@ class StreamingScorer:
     def rebuild(self, now: int) -> int:
         """Recompute sums for every rated digest from the vote table.
 
-        Bootstraps streaming mode on a database that grew up under the
-        batch.  Returns the number of digests (re)built.  Publishes
-        nothing by itself — use :meth:`reconcile` to also repair the
-        published score rows.
+        The batch cadence's bootstrap: returns the number of digests
+        (re)built and publishes nothing — the next :meth:`reconcile`
+        tick repairs the published score rows.
         """
         built = 0
         for software_id in sorted(self._ratings.rated_software_ids()):
@@ -286,33 +299,35 @@ class StreamingScorer:
         return built
 
     def reconcile(self, now: int) -> ReconciliationReport:
-        """Verify running sums against a full recompute; repair drift.
+        """The daily tick: recompute every digest, publish what differs.
 
-        The streaming path's periodic audit (run where the batch used
-        to run): every rated digest's sums are recomputed from the vote
-        table; mismatching entries are repaired and their scores
-        republished under a new version so subscribers converge.  Ends
-        with a :meth:`flush`, so each pass is also a durability
-        checkpoint for the derived state.
+        Every rated digest's sums are recomputed from the vote table
+        and repaired if they drifted; then every digest whose published
+        row (score, vote count or weight) differs from the recompute is
+        republished under a new version.  In the streaming cadence that
+        is an audit that finds nothing to do unless something drifted
+        or a crash lost a deferred publish; in the batch cadence it is
+        the paper's 24-hour publication.  Ends with a :meth:`flush`, so
+        each pass is also a durability checkpoint for the derived state.
         """
         checked = 0
         mismatched = 0
         republished = 0
         for software_id in sorted(self._ratings.rated_software_ids()):
             checked += 1
-            entry = self._sums.get(software_id)
             weighted_sum, weight_sum, vote_count = self._recompute(software_id)
-            if entry is not None and entry == [
+            if self._sums.get(software_id) == [
                 weighted_sum, weight_sum, vote_count
             ]:
-                # The sums match; the published row can still lag (a
-                # crash can lose a deferred publish after its sums were
-                # flushed — or vice versa), so verify it too.
+                # The sums match; the published row can still lag (the
+                # batch cadence publishes only here, and a crash can
+                # lose a deferred publish), so verify it too.
                 published = self._aggregator.score_of(software_id)
                 if (
                     published is not None
                     and published.score == weighted_sum / weight_sum
                     and published.vote_count == vote_count
+                    and published.total_weight == weight_sum
                 ):
                     continue
             mismatched += 1

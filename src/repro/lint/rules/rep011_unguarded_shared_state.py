@@ -92,19 +92,23 @@ class UnguardedSharedStateRule(Rule):
 
 
 def _lock_attributes(class_node: ast.ClassDef) -> Set[str]:
-    """self.<attr> names that hold a project lock in this class."""
+    """self.<attr> names that hold a project lock in this class.
+
+    The lock may be built outright (``self._lock = ReadWriteLock()``)
+    or by either branch of a conditional expression
+    (``self._lock = lock if lock is not None else ReadWriteLock()``).
+    """
     attrs: Set[str] = set()
     for node in ast.walk(class_node):
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
-        if not (isinstance(value, ast.Call)):
-            continue
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
+        branches = (
+            (value.body, value.orelse)
+            if isinstance(value, ast.IfExp)
+            else (value,)
         )
-        if name not in LOCK_FACTORIES:
+        if not any(_is_lock_factory_call(branch) for branch in branches):
             continue
         for target in node.targets:
             if (
@@ -114,6 +118,16 @@ def _lock_attributes(class_node: ast.ClassDef) -> Set[str]:
             ):
                 attrs.add(target.attr)
     return attrs
+
+
+def _is_lock_factory_call(node: ast.expr) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else (
+        func.attr if isinstance(func, ast.Attribute) else None
+    )
+    return name in LOCK_FACTORIES
 
 
 class _AccessWalker:

@@ -24,9 +24,9 @@ guarantee are the shared :class:`~repro.net.framing.ConnectionProtocol`
 clients keep working unchanged.
 
 Application handlers run *inline* on the loop thread: the reputation
-pipeline's warm read path is microseconds (PR 2's epoch cache), so N
-loops give N-way parallelism without handoff latency.  A handler that
-blocks for long stalls only its own loop's connections.
+pipeline's warm read path is microseconds (the version-keyed score
+cache), so N loops give N-way parallelism without handoff latency.  A
+handler that blocks for long stalls only its own loop's connections.
 """
 
 from __future__ import annotations

@@ -161,14 +161,9 @@ class SoftwareInfoResponse(Message):
     comments: tuple = ()
     reported_behaviors: tuple = ()
     analyzed: bool = False
-    #: The server's aggregation epoch when this answer was built.  Equal
-    #: epochs guarantee equal published scores, so epoch-aware caches
-    #: (client and server side) key their freshness on it.  0 means the
-    #: server never published scores (or predates epochs).
-    epoch: int = 0
-    #: Per-digest score version (streaming pipeline): equal versions
-    #: guarantee an unchanged published score for *this* digest.  0
-    #: means never published (or a pre-streaming server).
+    #: Per-digest score version: equal versions guarantee an unchanged
+    #: published score for *this* digest, so caches (client and server
+    #: side) key their freshness on it.  0 means never published.
     score_version: int = 0
 
 
@@ -202,10 +197,9 @@ class QuerySoftwareBatchRequest(Message):
 @message("query-software-batch-response")
 @dataclass(frozen=True)
 class QuerySoftwareBatchResponse(Message):
-    """Per-item answers, in request order, plus the server's epoch."""
+    """Per-item answers, in request order."""
 
     results: tuple = ()
-    epoch: int = 0
 
 
 # ---------------------------------------------------------------------------

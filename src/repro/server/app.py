@@ -22,12 +22,14 @@ import random
 from typing import Optional
 
 from ..clock import SimClock
+from ..core.aggregation import ScoreUpdate
 from ..core.reputation import (
     SCORING_BATCH,
     SCORING_STREAMING,
     TRUST_LINEAR,
     ReputationEngine,
 )
+from ..core.vendor import SoftwareRecord
 from ..crypto.puzzles import PuzzleIssuer
 from ..crypto.secrets import SecretPepper
 from ..errors import MalformedMessageError, PuzzleError
@@ -228,8 +230,10 @@ class ReputationServer:
         registration_burst = 3.0 if flood_burst is None else max(3.0, flood_burst)
         self.registration_limiter = RateLimiter(registration_burst, 6.0 / 86400.0)
         #: Read-through cache of assembled software-info responses,
-        #: keyed by the per-digest score version (size 0 disables it).
+        #: keyed by the per-digest score version and the vendor's
+        #: generation (size 0 disables it).
         self.score_cache = ScoreResponseCache(max_entries=score_cache_size)
+        self.engine.add_score_listener(self._on_score_published)
         #: Server-push subscriptions: every committed score publication
         #: fans out to matching connections (Sec. 4.2 as live protocol).
         self.subscriptions = SubscriptionRegistry()
@@ -272,10 +276,10 @@ class ReputationServer:
         )
         if self._owns_database:
             # Every subsystem above has re-declared its schemas; now the
-            # on-disk state (snapshot + WAL, legacy or binary) can load.
+            # on-disk state (snapshot + binary WAL) can load.
             self.engine.db.recover()
             # Recovery replaced the tables under the engine; rebuild the
-            # streaming derived state (running sums, score rows) from
+            # derived score state (running sums, score rows) from
             # the recovered votes before serving the first query.
             self.engine.bootstrap_scores(reload=True)
 
@@ -383,7 +387,7 @@ class ReputationServer:
         if self.score_cache.enabled and info.known:
             # The encoding dominates a warm read: serve the cached bytes
             # through the codec's pass-through, encoding each response
-            # exactly once per epoch *per negotiated codec*.
+            # exactly once per score version *per negotiated codec*.
             wire = self.score_cache.wire_for(
                 request.software_id, info, ctx.codec
             )
@@ -413,9 +417,7 @@ class ReputationServer:
                 version=item.version,
             )
             results.append(self._software_info(item.software_id))
-        return QuerySoftwareBatchResponse(
-            results=tuple(results), epoch=self.engine.aggregator.epoch
-        )
+        return QuerySoftwareBatchResponse(results=tuple(results))
 
     def lookup_software(self, software_id: str) -> SoftwareInfoResponse:
         """Read-only software lookup (no implicit registration).
@@ -430,35 +432,41 @@ class ReputationServer:
 
     def _software_info(self, software_id: str) -> SoftwareInfoResponse:
         """Read-through: serve from the score cache while this digest's
-        score version holds.
+        score version and its vendor's generation hold.
 
-        The cache key is the **per-digest score version** the streaming
-        pipeline stamps on every publish, so a vote against one digest
-        invalidates exactly one entry.  In batch mode versions advance
-        only when a batch republishes — repeated lookups between batches
-        never touch the storage engine.
+        The cache key is the **per-digest score version** stamped on
+        every publish, so a vote against one digest invalidates exactly
+        that digest's entry plus, through the vendor generation, the
+        entries of its vendor's other digests (their ``vendor_score``
+        moved).  In batch mode versions advance only at the daily tick —
+        repeated lookups between ticks never touch the storage engine.
         """
         version = self.engine.score_version(software_id)
         cached = self.score_cache.get(software_id, version)
         if cached is not None:
             return cached
-        info = self._build_software_info(
-            software_id, self.engine.aggregator.epoch, version
-        )
-        if info.known:
-            # Unknown software is not cached: its first query registers
-            # it, so the not-found answer is already stale.
-            self.score_cache.put(software_id, version, info)
-        return info
-
-    def _build_software_info(
-        self, software_id: str, epoch: int, version: int
-    ) -> SoftwareInfoResponse:
         record = self.engine.vendors.get_or_none(software_id)
         if record is None:
-            return SoftwareInfoResponse(
-                software_id=software_id, known=False, epoch=epoch
-            )
+            # Unknown software is not cached: its first query registers
+            # it, so the not-found answer is already stale.
+            return SoftwareInfoResponse(software_id=software_id, known=False)
+        vendor_generation = self.score_cache.vendor_generation(record.vendor)
+        info = self._build_software_info(record, version)
+        self.score_cache.put(software_id, version, info, vendor_generation)
+        return info
+
+    def _on_score_published(self, update: ScoreUpdate) -> None:
+        """A publish moves its vendor's score: age the siblings' entries."""
+        if not self.score_cache.enabled:
+            return
+        record = self.engine.vendors.get_or_none(update.software_id)
+        if record is not None and record.vendor is not None:
+            self.score_cache.vendor_published(record.vendor)
+
+    def _build_software_info(
+        self, record: SoftwareRecord, version: int
+    ) -> SoftwareInfoResponse:
+        software_id = record.software_id
         published = self.engine.software_reputation(software_id)
         vendor_score = None
         if record.vendor is not None:
@@ -496,7 +504,6 @@ class ReputationServer:
             comments=comments,
             reported_behaviors=reported_behaviors,
             analyzed=analyzed,
-            epoch=epoch,
             score_version=version,
         )
 
@@ -510,8 +517,8 @@ class ReputationServer:
         comment = self.gate.add_comment(
             ctx.username, request.software_id, request.text
         )
-        # Comments appear immediately (no epoch bump), so the cached
-        # response for this software is stale right now.
+        # Comments appear immediately (no score version bump), so the
+        # cached response for this software is stale right now.
         self.score_cache.invalidate(request.software_id)
         return OkResponse(detail=f"comment {comment.comment_id} recorded")
 
@@ -606,13 +613,13 @@ class ReputationServer:
     # -- maintenance ----------------------------------------------------------------
 
     def run_daily_batch(self) -> None:
-        """The 24-hour maintenance job: score aggregation plus any due
+        """The 24-hour maintenance job: the score tick plus any due
         runtime-analysis work (driven by the simulation loop)."""
         self.engine.maybe_run_aggregation()
         if self.analysis is not None:
             if self.analysis.process_due(self.clock.now()):
                 # New runtime-analysis evidence changes cached responses
-                # without moving the epoch.
+                # without moving any score version.
                 self.score_cache.clear()
 
     def submit_sample(self, executable) -> bool:

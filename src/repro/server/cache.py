@@ -4,17 +4,21 @@ Assembling a :class:`~repro.protocol.SoftwareInfoResponse` is the most
 expensive read in the system: a registry lookup, the published score, a
 vendor-score derivation (which walks every executable of the vendor),
 and the trust-ranked comment list.  A digest's assembled response stays
-valid exactly until its published score moves — signalled by the
-**per-digest score version** the streaming pipeline stamps on every
-publish — so entries are keyed individually instead of flushing the
-whole cache on a global epoch (the pre-streaming design: one batch
-publish emptied every entry, even for digests whose score never moved).
+valid exactly until its published score or its vendor's score moves.
+The first is signalled by the **per-digest score version** stamped on
+every publish, so entries are keyed individually; the second by a
+**per-vendor generation** the server bumps whenever any digest of that
+vendor publishes (the vendor score is the mean over its digests).
 
-Invalidation is two-tier:
+Invalidation is three-tier:
 
 * **version change** — a lookup presenting a newer (or older, after
   reconciliation repair) version than the entry was built at drops just
   that entry, lazily;
+* **vendor change** — an entry built before its vendor's generation
+  last moved is dropped on the next lookup, lazily: a sibling digest
+  republished, so the cached ``vendor_score`` is stale.  An O(1) check
+  per lookup; publishing never walks the vendor's digests;
 * **explicit** — a new comment or remark changes the response body
   without moving the score, so the handler invalidates that digest's
   entry outright.  This drops the *whole* entry — the assembled
@@ -53,21 +57,25 @@ class _CachedResponse:
     unit of eviction: dropping it drops every codec's bytes at once.
     """
 
-    __slots__ = ("info", "version", "wire")
+    __slots__ = ("info", "version", "vendor_generation", "wire")
 
-    def __init__(self, info: SoftwareInfoResponse, version: int):
+    def __init__(
+        self, info: SoftwareInfoResponse, version: int, vendor_generation: int
+    ):
         self.info = info
         self.version = version
+        self.vendor_generation = vendor_generation
         self.wire: dict = {}  # codec name -> encoded bytes
 
 
 class ScoreResponseCache:
     """Version-keyed LRU cache of assembled software-info responses.
 
-    Each entry remembers the digest's score version it was built at;
-    a ``get`` presenting a different version treats the entry as stale
-    and drops it.  Streaming publishes touch only the digest they
-    changed — the rest of the cache stays warm.
+    Each entry remembers the digest's score version and its vendor's
+    generation at build time; a ``get`` presenting a different version,
+    or finding the vendor's generation moved, treats the entry as stale
+    and drops it.  A publish touches only the digest it changed and its
+    vendor's siblings — the rest of the cache stays warm.
 
     A ``max_entries`` of 0 disables the cache entirely (every ``get``
     misses, ``put`` is a no-op) — used by benchmarks to measure the
@@ -85,8 +93,10 @@ class ScoreResponseCache:
         self.evictions = 0
         self.invalidations = 0
         #: Entries dropped because a lookup presented a different score
-        #: version (the streaming pipeline's lazy invalidation).
+        #: version, or the vendor's generation moved (lazy invalidation).
         self.version_evictions = 0
+        #: vendor name -> publications of any digest of that vendor.
+        self._vendor_generations: dict[str, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -96,14 +106,21 @@ class ScoreResponseCache:
         """The response cached at exactly *version*, or ``None``.
 
         A version mismatch (the digest's score republished since the
-        entry was assembled) drops the stale entry on the way out.
+        entry was assembled) or a moved vendor generation (a sibling
+        republished, so ``vendor_score`` is stale) drops the stale entry
+        on the way out.
         """
         with self._lock:
             entry = self._entries.get(software_id)
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.version != version:
+            vendor = entry.info.vendor
+            if entry.version != version or (
+                vendor is not None
+                and entry.vendor_generation
+                != self._vendor_generations.get(vendor, 0)
+            ):
                 del self._entries[software_id]
                 self.version_evictions += 1
                 self.misses += 1
@@ -113,9 +130,19 @@ class ScoreResponseCache:
             return entry.info
 
     def put(
-        self, software_id: str, version: int, info: SoftwareInfoResponse
+        self,
+        software_id: str,
+        version: int,
+        info: SoftwareInfoResponse,
+        vendor_generation: int = 0,
     ) -> None:
-        """Cache one assembled response under the digest's score version."""
+        """Cache one assembled response under the digest's score version.
+
+        *vendor_generation* is :meth:`vendor_generation` of the
+        response's vendor, read **before** the response was assembled,
+        so a sibling publish racing the assembly leaves the entry stale
+        rather than wrongly fresh.
+        """
         if not self.enabled:
             return
         with self._lock:
@@ -124,7 +151,24 @@ class ScoreResponseCache:
             elif len(self._entries) >= self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[software_id] = _CachedResponse(info, version)
+            self._entries[software_id] = _CachedResponse(
+                info, version, vendor_generation
+            )
+
+    def vendor_generation(self, vendor: Optional[str]) -> int:
+        """How many publications *vendor*'s digests have seen (0 for none)."""
+        if vendor is None:
+            return 0
+        with self._lock:
+            return self._vendor_generations.get(vendor, 0)
+
+    def vendor_published(self, vendor: str) -> None:
+        """A digest of *vendor* republished: its vendor score may have
+        moved, so every cached sibling answer is stale from now on."""
+        with self._lock:
+            self._vendor_generations[vendor] = (
+                self._vendor_generations.get(vendor, 0) + 1
+            )
 
     def wire_for(
         self, software_id: str, info: SoftwareInfoResponse, codec: str

@@ -173,7 +173,7 @@ def run_vote_flood(
             _cast_vote(server, origin, session, target_software_id, score, report)
     if aggregate_after:
         server.clock.advance(days(1))
-        server.engine.run_daily_aggregation()
+        server.engine.reconcile_scores()
     report.target_score_after = _published_score(server, target_software_id)
     return report
 
@@ -223,7 +223,7 @@ def run_sybil_attack(
         _cast_vote(server, origin, session, target_software_id, score, report)
     if aggregate_after:
         server.clock.advance(days(1))
-        server.engine.run_daily_aggregation()
+        server.engine.reconcile_scores()
     report.target_score_after = _published_score(server, target_software_id)
     return report
 
@@ -659,7 +659,7 @@ def run_polymorphic_vendor(
         engine.cast_vote(username, variant.software_id, voter_score)
         variants.append(variant)
     server.clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     distinct_ids = {variant.software_id for variant in variants}
     max_votes = max(
         engine.ratings.vote_count(software_id) for software_id in distinct_ids

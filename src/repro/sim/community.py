@@ -285,7 +285,7 @@ class CommunitySimulation:
             bootstrap_database(
                 self.server.engine, self.config.bootstrap, self.clock.now()
             )
-            self.server.engine.run_daily_aggregation()
+            self.server.engine.reconcile_scores()
         self.users = [
             self._build_user(index) for index in range(self.config.users)
         ]

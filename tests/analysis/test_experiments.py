@@ -222,14 +222,14 @@ class TestE10Aggregation:
         )
 
     def test_full_touches_everything(self, result):
-        assert result["full"]["software_recomputed"] == 120
+        assert result["first_day"]["audited"] == 120
+        assert result["first_day"]["republished"] == 120
 
-    def test_incremental_touches_only_dirty(self, result):
-        assert (
-            result["incremental"]["software_recomputed"]
-            == result["incremental"]["touched"]
-        )
-        assert result["incremental"]["software_recomputed"] < 120
+    def test_quiet_tick_republishes_only_touched(self, result):
+        quiet = result["quiet_day"]
+        assert quiet["audited"] == 120
+        assert quiet["republished"] == quiet["touched"]
+        assert quiet["republished"] < 120
 
     def test_polymorphic_vendor_rating_converges(self, result):
         poly = result["polymorphic"]

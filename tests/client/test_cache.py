@@ -7,8 +7,10 @@ from repro.client.cache import ScoreCache
 from repro.protocol import SoftwareInfoResponse
 
 
-def _info(sid="sid", score=5.0):
-    return SoftwareInfoResponse(software_id=sid, known=True, score=score)
+def _info(sid="sid", score=5.0, version=0):
+    return SoftwareInfoResponse(
+        software_id=sid, known=True, score=score, score_version=version
+    )
 
 
 class TestCacheMechanics:
@@ -50,6 +52,25 @@ class TestCacheMechanics:
         cache.put(_info("a", score=9.0), now=2)
         assert len(cache) == 2
         assert cache.get("a", now=3).score == 9.0
+
+    def test_older_version_cannot_displace_newer(self):
+        """Answers and pushes can arrive out of order; the cache keeps
+        the highest score version it has seen."""
+        cache = ScoreCache(ttl=days(1))
+        assert cache.put(_info(score=7.0, version=5), now=0)
+        assert not cache.put(_info(score=3.0, version=4), now=1)
+        assert cache.get("sid", now=2).score == 7.0
+        assert not cache.apply_update(
+            "sid", score=1.0, vote_count=1, version=3, now=3
+        )
+        assert cache.get("sid", now=4).score_version == 5
+        # An equal version still replaces: comments change the answer
+        # without moving the score version.
+        assert cache.put(_info(score=7.0, version=5), now=5)
+        assert cache.apply_update(
+            "sid", score=6.0, vote_count=2, version=6, now=6
+        )
+        assert cache.get("sid", now=7).score == 6.0
 
     def test_hit_rate(self):
         cache = ScoreCache(ttl=days(1))

@@ -1,154 +1,129 @@
-"""The daily trust-weighted aggregation batch."""
+"""The trust-weighted mean and its daily publication (batch cadence)."""
 
 import pytest
 
-from repro.clock import days
-from repro.core.aggregation import Aggregator, unweighted_mean
-from repro.core.ratings import RatingBook
-from repro.core.trust import TrustLedger
+from repro.clock import SimClock, days
+from repro.core.aggregation import unweighted_mean
+from repro.core.reputation import ReputationEngine
 from repro.storage import Database
 
 
 @pytest.fixture
-def rig(db):
-    trust = TrustLedger(db)
-    ratings = RatingBook(db)
-    aggregator = Aggregator(db, ratings, trust)
-    return trust, ratings, aggregator
+def engine(db):
+    return ReputationEngine(database=db, clock=SimClock())
+
+
+def _tick(engine, now):
+    """Run the daily publication tick at simulated time *now*."""
+    engine.clock.advance(now - engine.clock.now())
+    return engine.reconcile_scores()
 
 
 class TestWeightedScore:
-    def test_equal_trust_is_plain_mean(self, rig):
-        trust, ratings, aggregator = rig
+    def test_equal_trust_is_plain_mean(self, engine):
         for user, score in [("a", 2), ("b", 4), ("c", 6)]:
-            trust.enroll(user, 0)
-            ratings.cast(user, "sid", score, now=0)
-        aggregator.run(now=0)
-        assert aggregator.score_of("sid").score == pytest.approx(4.0)
+            engine.enroll_user(user)
+            engine.cast_vote(user, "sid", score)
+        _tick(engine, 0)
+        assert engine.software_reputation("sid").score == pytest.approx(4.0)
 
-    def test_trust_weights_votes(self, rig):
+    def test_trust_weights_votes(self, engine):
         """Sec. 2.1: experienced users' opinions carry higher weight."""
-        trust, ratings, aggregator = rig
-        trust.enroll("expert", 0)
-        trust.force_set("expert", 9.0)
-        trust.enroll("novice", 0)
-        ratings.cast("expert", "sid", 9, now=0)
-        ratings.cast("novice", "sid", 1, now=0)
-        aggregator.run(now=0)
+        engine.enroll_user("expert")
+        engine.trust.force_set("expert", 9.0)
+        engine.enroll_user("novice")
+        engine.cast_vote("expert", "sid", 9)
+        engine.cast_vote("novice", "sid", 1)
+        _tick(engine, 0)
         # (9*9 + 1*1) / 10 = 8.2 — the expert dominates
-        assert aggregator.score_of("sid").score == pytest.approx(8.2)
+        assert engine.software_reputation("sid").score == pytest.approx(8.2)
 
-    def test_unknown_voter_weighs_minimum(self, rig):
-        __, ratings, aggregator = rig
-        ratings.cast("ghost", "sid", 10, now=0)
-        aggregator.run(now=0)
-        score = aggregator.score_of("sid")
+    def test_unknown_voter_weighs_minimum(self, engine):
+        engine.cast_vote("ghost", "sid", 10)
+        _tick(engine, 0)
+        score = engine.software_reputation("sid")
         assert score.total_weight == pytest.approx(1.0)
 
-    def test_unrated_software_has_no_score(self, rig):
-        __, __, aggregator = rig
-        aggregator.run(now=0)
-        assert aggregator.score_of("nothing") is None
+    def test_unrated_software_has_no_score(self, engine):
+        _tick(engine, 0)
+        assert engine.software_reputation("nothing") is None
 
-    def test_score_metadata(self, rig):
-        trust, ratings, aggregator = rig
-        trust.enroll("a", 0)
-        ratings.cast("a", "sid", 5, now=0)
-        aggregator.run(now=77)
-        score = aggregator.score_of("sid")
+    def test_score_metadata(self, engine):
+        engine.enroll_user("a")
+        engine.cast_vote("a", "sid", 5)
+        _tick(engine, 77)
+        score = engine.software_reputation("sid")
         assert score.vote_count == 1
         assert score.computed_at == 77
 
 
 class TestBatchBehaviour:
-    def test_scores_fixed_between_batches(self, rig):
+    def test_scores_fixed_between_batches(self, engine):
         """Sec. 3.2: ratings are calculated at fixed points in time."""
-        trust, ratings, aggregator = rig
-        trust.enroll("a", 0)
-        ratings.cast("a", "sid", 2, now=0)
-        aggregator.run(now=0)
-        trust.enroll("b", 0)
-        ratings.cast("b", "sid", 10, now=1)
-        # No batch yet: the published score is unchanged.
-        assert aggregator.score_of("sid").score == pytest.approx(2.0)
-        aggregator.run(now=days(1))
-        assert aggregator.score_of("sid").score == pytest.approx(6.0)
+        engine.enroll_user("a")
+        engine.cast_vote("a", "sid", 2)
+        _tick(engine, 0)
+        engine.enroll_user("b")
+        engine.cast_vote("b", "sid", 10)
+        # No tick yet: the published score is unchanged.
+        assert engine.software_reputation("sid").score == pytest.approx(2.0)
+        _tick(engine, days(1))
+        assert engine.software_reputation("sid").score == pytest.approx(6.0)
 
-    def test_is_due_honours_period(self, rig):
-        __, __, aggregator = rig
+    def test_is_due_honours_period(self, engine):
+        aggregator = engine.aggregator
         assert aggregator.is_due(0)
-        aggregator.run(now=0)
+        _tick(engine, 0)
         assert not aggregator.is_due(days(1) - 1)
         assert aggregator.is_due(days(1))
 
-    def test_incremental_only_touches_dirty(self, rig):
-        trust, ratings, aggregator = rig
-        trust.enroll("a", 0)
-        ratings.cast("a", "s1", 5, now=0)
-        ratings.cast("a", "s2", 5, now=0)
-        aggregator.run(now=0)
-        ratings.cast("a", "s3", 9, now=1)
-        report = aggregator.run(now=days(1), incremental=True)
-        assert report.software_recomputed == 1
-        assert aggregator.score_of("s3").score == pytest.approx(9.0)
-        # s1/s2 still published from the first run
-        assert aggregator.score_of("s1") is not None
+    def test_tick_republishes_only_changed_digests(self, engine):
+        engine.enroll_user("a")
+        engine.cast_vote("a", "s1", 5)
+        engine.cast_vote("a", "s2", 5)
+        _tick(engine, 0)
+        versions = {sid: engine.score_version(sid) for sid in ("s1", "s2")}
+        engine.cast_vote("a", "s3", 9)
+        report = _tick(engine, days(1))
+        assert (report.checked, report.republished) == (3, 1)
+        assert engine.software_reputation("s3").score == pytest.approx(9.0)
+        # s1/s2 still published from the first tick, versions untouched.
+        assert {sid: engine.score_version(sid) for sid in versions} == versions
 
-    def test_incremental_equals_full_results(self, rig):
-        trust, ratings, aggregator = rig
-        for user in ("a", "b"):
-            trust.enroll(user, 0)
-        ratings.cast("a", "s1", 4, now=0)
-        ratings.cast("b", "s1", 8, now=0)
-        aggregator.run(now=0, incremental=True)
-        incremental_score = aggregator.score_of("s1").score
-        aggregator.run(now=days(1))
-        assert aggregator.score_of("s1").score == pytest.approx(incremental_score)
+    def test_report_counts(self, engine):
+        engine.enroll_user("a")
+        engine.enroll_user("b")
+        engine.cast_vote("a", "s1", 5)
+        engine.cast_vote("b", "s1", 7)
+        engine.cast_vote("a", "s2", 3)
+        report = _tick(engine, 0)
+        assert report.checked == 2
+        assert report.republished == 2
+        assert report.ran_at == 0
 
-    def test_full_run_drains_dirty(self, rig):
-        __, ratings, aggregator = rig
-        ratings.cast("a", "s1", 5, now=0)
-        aggregator.run(now=0)
-        report = aggregator.run(now=days(1), incremental=True)
-        assert report.software_recomputed == 0
-
-    def test_report_counts(self, rig):
-        trust, ratings, aggregator = rig
-        trust.enroll("a", 0)
-        trust.enroll("b", 0)
-        ratings.cast("a", "s1", 5, now=0)
-        ratings.cast("b", "s1", 7, now=0)
-        ratings.cast("a", "s2", 3, now=0)
-        report = aggregator.run(now=0)
-        assert report.software_recomputed == 2
-        assert report.votes_considered == 3
-        assert report.mode == "full"
-
-    def test_all_scores_and_count(self, rig):
-        __, ratings, aggregator = rig
-        ratings.cast("a", "s1", 5, now=0)
-        ratings.cast("a", "s2", 5, now=0)
-        aggregator.run(now=0)
+    def test_all_scores_and_count(self, engine):
+        engine.cast_vote("a", "s1", 5)
+        engine.cast_vote("a", "s2", 5)
+        _tick(engine, 0)
+        aggregator = engine.aggregator
         assert aggregator.scored_count() == 2
         assert {s.software_id for s in aggregator.all_scores()} == {"s1", "s2"}
 
-    def test_top_and_bottom_scores(self, rig):
-        __, ratings, aggregator = rig
+    def test_top_and_bottom_scores(self, engine):
         for index, score in enumerate((9, 2, 6, 4)):
-            ratings.cast("a", f"s{index}", score, now=0)
-        aggregator.run(now=0)
-        top = aggregator.top_scores(limit=2)
+            engine.cast_vote("a", f"s{index}", score)
+        _tick(engine, 0)
+        top = engine.aggregator.top_scores(limit=2)
         assert [s.software_id for s in top] == ["s0", "s2"]
-        bottom = aggregator.bottom_scores(limit=2)
+        bottom = engine.aggregator.bottom_scores(limit=2)
         assert [s.software_id for s in bottom] == ["s1", "s3"]
 
-    def test_rankings_respect_min_votes(self, rig):
-        __, ratings, aggregator = rig
-        ratings.cast("a", "thin", 10, now=0)
-        ratings.cast("a", "thick", 5, now=0)
-        ratings.cast("b", "thick", 5, now=0)
-        aggregator.run(now=0)
-        top = aggregator.top_scores(limit=5, min_votes=2)
+    def test_rankings_respect_min_votes(self, engine):
+        engine.cast_vote("a", "thin", 10)
+        engine.cast_vote("a", "thick", 5)
+        engine.cast_vote("b", "thick", 5)
+        _tick(engine, 0)
+        top = engine.aggregator.top_scores(limit=5, min_votes=2)
         assert [s.software_id for s in top] == ["thick"]
 
 
@@ -161,55 +136,53 @@ def test_unweighted_mean():
 
 
 class TestDurableIncremental:
-    """Incremental state (epoch, last_run, dirty set) survives restart."""
+    """The publication cadence (``last_run``, published rows) survives
+    restart, and the fold resumes from sums rebuilt off the votes."""
 
-    def _open(self, directory):
+    def _open(self, directory, now):
         db = Database(directory=directory)
-        trust = TrustLedger(db)
-        ratings = RatingBook(db)
-        aggregator = Aggregator(db, ratings, trust)
-        return db, trust, ratings, aggregator
+        clock = SimClock()
+        clock.advance(now)
+        engine = ReputationEngine(database=db, clock=clock)
+        db.recover()
+        engine.bootstrap_scores(reload=True)
+        return engine
 
     def test_incremental_survives_restart(self, tmp_path):
         directory = str(tmp_path / "agg")
 
-        # Session one: aggregate s1, then leave s2 dirty and "crash".
-        db, trust, ratings, aggregator = self._open(directory)
-        trust.enroll("a", 0)
-        aggregator.run(now=5, incremental=True)  # publishes nothing
-        assert aggregator.epoch == 0
-        ratings.cast("a", "s1", 8, now=6)
-        report = aggregator.run(now=10, incremental=True)
-        assert report.mode == "incremental"
-        assert aggregator.epoch == 1
-        ratings.cast("a", "s2", 4, now=20)
+        # Session one: publish s1, then vote on s2 and "crash" before
+        # the next tick (its sums were never flushed).
+        engine = self._open(directory, 0)
+        engine.enroll_user("a")
+        engine.cast_vote("a", "s1", 8)
+        _tick(engine, 10)
+        engine.clock.advance(10)
+        engine.cast_vote("a", "s2", 4)
 
         # Session two: a fresh process over the reopened database.
-        db2, trust2, ratings2, aggregator2 = self._open(directory)
-        assert db2.recover() > 0
-        assert aggregator2.epoch == 1
-        assert aggregator2.last_run == 10
-        assert ratings2.dirty_software_ids() == {"s2"}
-        assert aggregator2.score_of("s1").score == pytest.approx(8.0)
+        engine2 = self._open(directory, 20)
+        assert engine2.aggregator.last_run == 10
+        assert engine2.software_reputation("s1").score == pytest.approx(8.0)
+        assert engine2.software_reputation("s2") is None  # not yet published
+        assert engine2.scorer.in_sync_with_votes()  # rebuilt from the votes
 
-        report = aggregator2.run(now=30, incremental=True)
-        # Only the dirty survivor is recomputed; s1's score is kept.
-        assert report.software_recomputed == 1
-        assert aggregator2.epoch == 2
-        assert aggregator2.score_of("s2").score == pytest.approx(4.0)
-        assert aggregator2.score_of("s1").score == pytest.approx(8.0)
+        report = _tick(engine2, 30)
+        # Only the unpublished survivor is republished; s1's row is kept.
+        assert report.republished == 1
+        assert engine2.software_reputation("s2").score == pytest.approx(4.0)
+        assert engine2.software_reputation("s1").score == pytest.approx(8.0)
 
-    def test_empty_incremental_run_does_not_bump_epoch(self, tmp_path):
+    def test_quiet_tick_after_restart_republishes_nothing(self, tmp_path):
         directory = str(tmp_path / "agg")
-        db, trust, ratings, aggregator = self._open(directory)
-        trust.enroll("a", 0)
-        ratings.cast("a", "s1", 8, now=0)
-        aggregator.run(now=10, incremental=True)
+        engine = self._open(directory, 0)
+        engine.enroll_user("a")
+        engine.cast_vote("a", "s1", 8)
+        _tick(engine, 10)
 
-        db2, __, __, aggregator2 = self._open(directory)
-        db2.recover()
-        epoch = aggregator2.epoch
-        report = aggregator2.run(now=40, incremental=True)
-        assert report.software_recomputed == 0
-        assert aggregator2.epoch == epoch
-        assert aggregator2.last_run == 40
+        engine2 = self._open(directory, 10)
+        version = engine2.score_version("s1")
+        report = _tick(engine2, 40)
+        assert report.republished == 0
+        assert engine2.score_version("s1") == version
+        assert engine2.aggregator.last_run == 40

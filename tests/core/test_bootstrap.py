@@ -43,13 +43,13 @@ class TestBootstrap:
         applied = bootstrap_database(engine, corpus, now=0)
         assert applied == 2
         assert engine.vendors.is_known("s1")
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         assert engine.software_reputation("s1").score == pytest.approx(8.0)
         assert engine.software_reputation("s2").score == pytest.approx(3.0)
 
     def test_pseudo_users_carry_weight(self, engine, corpus):
         bootstrap_database(engine, corpus, now=0)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         assert engine.software_reputation("s1").total_weight == pytest.approx(10.0)
 
     def test_real_votes_dilute_the_prior(self, engine, corpus):
@@ -57,7 +57,7 @@ class TestBootstrap:
         bootstrap_database(engine, corpus, now=0)
         engine.enroll_user("novice")
         engine.cast_vote("novice", "s1", 1)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         # (8*10 + 1*1) / 11 ≈ 7.36 — the prior holds
         assert engine.software_reputation("s1").score == pytest.approx(81 / 11)
 
@@ -67,7 +67,7 @@ class TestBootstrap:
         engine.cast_vote("early", "s1", 5)
         applied = bootstrap_database(engine, corpus, now=0)
         assert applied == 1  # only s2
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         assert engine.software_reputation("s1").score == pytest.approx(5.0)
 
     def test_rebootstrap_is_idempotent(self, engine, corpus):
@@ -78,7 +78,7 @@ class TestBootstrap:
     def test_prior_scores_are_rounded_to_scale(self, engine):
         corpus = BootstrapCorpus.from_iterable("p", [_entry("s", score=7.6)])
         bootstrap_database(engine, corpus, now=0)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         assert engine.software_reputation("s").score == pytest.approx(8.0)
 
 

@@ -3,9 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clock import SECONDS_PER_WEEK, weeks
+from repro.clock import SECONDS_PER_WEEK, SimClock, weeks
 from repro.core.aggregation import Aggregator
 from repro.core.ratings import MAX_SCORE, MIN_SCORE, RatingBook
+from repro.core.reputation import (
+    SCORING_BATCH,
+    SCORING_STREAMING,
+    ReputationEngine,
+)
+from repro.core.scoring import StreamingScorer
 from repro.core.taxonomy import (
     ConsentLevel,
     Consequence,
@@ -111,7 +117,8 @@ def test_weighted_score_bounded_by_vote_extremes(stream, trusts):
     db = Database()
     ledger = TrustLedger(db)
     book = RatingBook(db)
-    aggregator = Aggregator(db, book, ledger)
+    aggregator = Aggregator(db)
+    scorer = StreamingScorer(db, book, ledger, aggregator)
     for index, trust in enumerate(trusts):
         ledger.enroll(f"u{index}", 0)
         ledger.force_set(f"u{index}", trust)
@@ -122,7 +129,7 @@ def test_weighted_score_bounded_by_vote_extremes(stream, trusts):
             continue
         book.cast(user, software, score, now=0)
         cast[(user, software)] = score
-    aggregator.run(now=0)
+    scorer.reconcile(now=0)
     by_software = {}
     for (_user, software), score in cast.items():
         by_software.setdefault(software, []).append(score)
@@ -174,8 +181,9 @@ def test_informed_users_leave_no_medium_consent(consequence, deceitful):
 # Incremental aggregation equivalence
 # ---------------------------------------------------------------------------
 
-#: An event stream for the incremental aggregator: votes interleaved with
-#: incremental batch runs and simulated process restarts.
+#: An event stream for the streaming fold: votes interleaved with trust
+#: changes, daily ticks, and simulated process restarts.  Trust values
+#: are 0.5 multiples, so every weighted sum is exact.
 aggregation_events = st.lists(
     st.one_of(
         st.tuples(
@@ -183,62 +191,73 @@ aggregation_events = st.lists(
             st.integers(min_value=0, max_value=4),  # software index
             st.integers(min_value=MIN_SCORE, max_value=MAX_SCORE),
         ),
-        st.just("run"),
+        st.tuples(
+            st.just("trust"),
+            st.integers(min_value=0, max_value=4),  # user index
+            st.integers(min_value=2, max_value=40).map(lambda half: half / 2),
+        ),
+        st.just("tick"),
         st.just("restart"),
     ),
     max_size=40,
 )
 
 
-@given(events=aggregation_events)
+@given(
+    events=aggregation_events,
+    mode=st.sampled_from([SCORING_BATCH, SCORING_STREAMING]),
+)
 @settings(max_examples=60, deadline=None)
-def test_incremental_interleavings_match_one_full_run(events):
-    """Any interleaving of votes, ``run(incremental=True)`` calls, and
-    restarts (fresh Aggregator/RatingBook over the same database, relying
-    on the persisted dirty set and meta table) publishes exactly the
-    scores of a single full run over the same votes."""
+def test_incremental_interleavings_match_one_full_run(events, mode):
+    """Any interleaving of votes, trust changes, ticks and restarts (a
+    fresh engine over the same database, which loses the unflushed
+    in-memory sums and rows) publishes exactly the recompute at the
+    final tick, in either publication cadence."""
+    db = Database()
+    clock = SimClock()
+    engine = ReputationEngine(database=db, clock=clock, scoring_mode=mode)
+    trust = {}
+    for idx in range(5):
+        engine.enroll_user(f"user{idx}")
+        trust[f"user{idx}"] = 1.0 + idx * 2.0
+        engine.trust.force_set(f"user{idx}", trust[f"user{idx}"])
 
-    def rig():
-        db = Database()
-        trust = TrustLedger(db)
-        ratings = RatingBook(db)
-        for idx in range(5):
-            trust.enroll(f"user{idx}", signup_ts=0)
-            trust.force_set(f"user{idx}", 1.0 + idx * 2.0)
-        return db, trust, ratings
-
-    db, trust, ratings = rig()
-    aggregator = Aggregator(db, ratings, trust)
-    db_full, trust_full, ratings_full = rig()
-
-    seen = set()
-    now = 0
+    votes = {}
     for event in events:
-        if event == "run":
-            now += 1
-            aggregator.run(now=now, incremental=True)
+        if event == "tick":
+            clock.advance(1)
+            engine.reconcile_scores()
         elif event == "restart":
-            trust = TrustLedger(db)
-            ratings = RatingBook(db)
-            aggregator = Aggregator(db, ratings, trust)
+            engine = ReputationEngine(
+                database=db, clock=clock, scoring_mode=mode
+            )
+        elif event[0] == "trust":
+            __, user, value = event
+            trust[f"user{user}"] = value
+            engine.trust.force_set(f"user{user}", value)
         else:
             voter, software, score = event
-            if (voter, software) in seen:
+            if (voter, software) in votes:
                 continue
-            seen.add((voter, software))
-            ratings.cast(f"user{voter}", f"sid{software}", score, now=0)
-            ratings_full.cast(f"user{voter}", f"sid{software}", score, now=0)
-    now += 1
-    aggregator.run(now=now, incremental=True)
+            votes[(voter, software)] = score
+            engine.cast_vote(f"user{voter}", f"sid{software}", score)
+    clock.advance(1)
+    engine.reconcile_scores()
 
-    full = Aggregator(db_full, ratings_full, trust_full)
-    full.run(now=1, incremental=False)
-
-    incremental_scores = {s.software_id: s for s in aggregator.all_scores()}
-    full_scores = {s.software_id: s for s in full.all_scores()}
-    assert incremental_scores.keys() == full_scores.keys()
-    for software_id, expected in full_scores.items():
-        actual = incremental_scores[software_id]
-        assert actual.score == pytest.approx(expected.score)
-        assert actual.vote_count == expected.vote_count
-        assert actual.total_weight == pytest.approx(expected.total_weight)
+    expected = {}
+    for (voter, software), score in votes.items():
+        weight = trust[f"user{voter}"]
+        entry = expected.setdefault(f"sid{software}", [0.0, 0.0, 0])
+        entry[0] += weight * score
+        entry[1] += weight
+        entry[2] += 1
+    published = {s.software_id: s for s in engine.aggregator.all_scores()}
+    assert published.keys() == expected.keys()
+    for software_id, (weighted_sum, weight_sum, vote_count) in expected.items():
+        actual = published[software_id]
+        assert actual.score == weighted_sum / weight_sum
+        assert actual.vote_count == vote_count
+        assert actual.total_weight == weight_sum
+        assert engine.scorer.sums_of(software_id) == (
+            weighted_sum, weight_sum, vote_count
+        )

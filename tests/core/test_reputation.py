@@ -56,7 +56,7 @@ class TestAggregationDriver:
 
     def test_vendor_reputation_flows_through(self, loaded):
         loaded.cast_vote("alice", "sid1", 8)
-        loaded.run_daily_aggregation()
+        loaded.reconcile_scores()
         assert loaded.vendor_reputation("V").score == pytest.approx(8.0)
 
     def test_software_reputation_none_before_any_batch(self, loaded):
@@ -128,7 +128,7 @@ class TestStats:
     def test_stats_counts(self, loaded):
         loaded.cast_vote("alice", "sid1", 8)
         loaded.add_comment("alice", "sid1", "x")
-        loaded.run_daily_aggregation()
+        loaded.reconcile_scores()
         stats = loaded.stats()
         assert stats == {
             "registered_software": 1,

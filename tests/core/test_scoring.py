@@ -172,10 +172,14 @@ class TestReconciliation:
         assert engine.software_reputation(DIGEST_A).score == 2.0
 
     def test_maybe_run_aggregation_reconciles_in_streaming_mode(self, engine):
-        """The daily slot the batch used to own now runs the audit."""
+        """The daily slot runs the tick, which in streaming is an audit."""
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.clock.advance(86_400 + 1)
-        assert engine.maybe_run_aggregation() is None
+        report = engine.maybe_run_aggregation()
+        assert (report.checked, report.mismatched, report.republished) == (
+            1, 0, 0
+        )
+        assert engine.maybe_run_aggregation() is None  # not due again yet
         # The audit flushed as its durability checkpoint.
         assert engine.db.table(SUMS_SCHEMA_NAME).count() == 1
 
@@ -191,7 +195,7 @@ class TestBootstrap:
         batch.enroll_user("bob")
         batch.cast_vote("alice", DIGEST_A, 2)
         batch.cast_vote("bob", DIGEST_A, 8)
-        batch.run_daily_aggregation()
+        batch.reconcile_scores()
         streaming = ReputationEngine(
             database=database, clock=SimClock(), scoring_mode="streaming"
         )

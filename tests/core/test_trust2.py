@@ -209,9 +209,9 @@ class TestEngineWiring:
 
 
 class TestBatchTrustRepublication:
-    """Regression (satellite 4): a trust mutation must republish the
-    digests its user already voted on — incremental batch runs used to
-    skip them because only votes populated the dirty set."""
+    """Regression: a trust mutation must reach the published score of
+    the digests its user already voted on at the next daily tick, even
+    when no new vote landed on them."""
 
     def _batch_engine(self, trust_model=TRUST_LINEAR):
         clock = SimClock()
@@ -222,28 +222,21 @@ class TestBatchTrustRepublication:
             engine.enroll_user(f"user{index}")
         return engine, clock
 
-    def test_trust_change_marks_voted_digests_dirty(self):
-        engine, clock = self._batch_engine()
-        digest = "11" * 20
-        engine.cast_vote("user0", digest, 9)
-        engine.run_daily_aggregation()
-        assert engine.ratings.dirty_software_ids() == set()
-        engine.trust.force_set("user0", 50.0)
-        assert digest in engine.ratings.dirty_software_ids()
-
     def test_incremental_run_republishes_reweighted_score(self):
         engine, clock = self._batch_engine()
         digest = "22" * 20
         engine.cast_vote("user0", digest, 10)
         engine.cast_vote("user1", digest, 2)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         first = engine.software_reputation(digest)
         assert first.score == pytest.approx(6.0)
         version = engine.score_version(digest)
         # Pure trust mutation — no new votes anywhere.
         engine.trust.force_set("user0", 99.0)
+        # Folded, not yet published: the batch cadence waits for the tick.
+        assert engine.score_version(digest) == version
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
+        engine.reconcile_scores()
         second = engine.software_reputation(digest)
         assert second.score > 9.0
         assert engine.score_version(digest) > version
@@ -253,14 +246,14 @@ class TestBatchTrustRepublication:
         digest = "33" * 20
         engine.cast_vote("user0", digest, 10)
         engine.cast_vote("user1", digest, 1)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         version = engine.score_version(digest)
         comment = engine.add_comment("user0", digest, "obvious spyware")
         clock.advance(weeks(2))  # room under the weekly growth cap
         for grader in ("user1", "user2", "user3"):
             engine.add_remark(grader, comment.comment_id, positive=True)
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
+        engine.reconcile_scores()
         assert engine.score_version(digest) > version
 
     def test_incremental_reweight_matches_full_recompute(self):
@@ -269,18 +262,18 @@ class TestBatchTrustRepublication:
         for digest in digests:
             for index in range(4):
                 engine.cast_vote(f"user{index}", digest, 3 + index)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         engine.trust.penalize("user3", clock.now())
+        # The fold re-weighted the sums as the penalty landed.
+        for digest in digests:
+            assert engine.scorer.sums_of(digest) == pytest.approx(
+                engine.scorer._recompute(digest)
+            )
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
-        incremental = {
-            digest: engine.software_reputation(digest).score
-            for digest in digests
-        }
-        clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=False)
-        full = {
-            digest: engine.software_reputation(digest).score
-            for digest in digests
-        }
-        assert incremental == full
+        report = engine.reconcile_scores()
+        assert report.republished == len(digests)
+        for digest in digests:
+            weighted_sum, weight_sum, __ = engine.scorer._recompute(digest)
+            assert engine.software_reputation(digest).score == (
+                weighted_sum / weight_sum
+            )

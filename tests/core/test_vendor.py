@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.aggregation import Aggregator
 from repro.core.ratings import RatingBook
+from repro.core.scoring import StreamingScorer
 from repro.core.trust import TrustLedger
 from repro.core.vendor import VendorBook
 from repro.storage import Database
@@ -13,9 +14,9 @@ from repro.storage import Database
 def rig(db):
     trust = TrustLedger(db)
     ratings = RatingBook(db)
-    aggregator = Aggregator(db, ratings, trust)
+    aggregator = Aggregator(db)
     vendors = VendorBook(db, aggregator)
-    return trust, ratings, aggregator, vendors
+    return trust, ratings, StreamingScorer(db, ratings, trust, aggregator), vendors
 
 
 def _register(vendors, sid, vendor="V", name="p.exe"):
@@ -73,25 +74,25 @@ class TestRegistry:
 class TestVendorScores:
     def test_mean_of_software_scores(self, rig):
         """Sec. 3.2: vendor rating is the average of its software scores."""
-        trust, ratings, aggregator, vendors = rig
+        trust, ratings, scorer, vendors = rig
         trust.enroll("u", 0)
         _register(vendors, "s1", vendor="V")
         _register(vendors, "s2", vendor="V")
         ratings.cast("u", "s1", 4, now=0)
         ratings.cast("u", "s2", 8, now=0)
-        aggregator.run(now=0)
+        scorer.reconcile(now=0)
         score = vendors.vendor_score("V")
         assert score.score == pytest.approx(6.0)
         assert score.software_count == 2
         assert score.rated_software_count == 2
 
     def test_unrated_software_excluded_from_mean(self, rig):
-        trust, ratings, aggregator, vendors = rig
+        trust, ratings, scorer, vendors = rig
         trust.enroll("u", 0)
         _register(vendors, "s1", vendor="V")
         _register(vendors, "s2", vendor="V")
         ratings.cast("u", "s1", 4, now=0)
-        aggregator.run(now=0)
+        scorer.reconcile(now=0)
         score = vendors.vendor_score("V")
         assert score.score == pytest.approx(4.0)
         assert score.software_count == 2

@@ -173,7 +173,7 @@ class TestDurableServer:
         engine.enroll_user("alice")
         engine.register_software("sid", "p.exe", 10, vendor="V")
         engine.cast_vote("alice", "sid", 7)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         # "Restart": a fresh engine over a fresh Database on the same dir.
         database2 = Database(directory=str(tmp_path))
         engine2 = ReputationEngine(database=database2, clock=clock)
@@ -238,6 +238,26 @@ class TestServerOwnedDatabase:
         server2 = self._restart(tmp_path, clock, durability="fsync")
         assert server2.engine.trust.get("alice") == 1.0
         server2.close()
+
+    def test_dirty_set_directory_refused(self, tmp_path, clock):
+        """A directory written while the batch kept a WAL-logged dirty
+        set holds an ``aggregation_dirty`` table no schema declares any
+        more; recovery refuses it by name rather than dropping rows."""
+        from repro.errors import StorageError
+        from repro.storage import Column, ColumnType, Database, Schema
+
+        old = Database(directory=str(tmp_path))
+        dirty = old.create_table(
+            Schema(
+                name="aggregation_dirty",
+                columns=[Column("software_id", ColumnType.TEXT)],
+                primary_key="software_id",
+            )
+        )
+        dirty.insert({"software_id": "ab" * 20})
+        old.close()
+        with pytest.raises(StorageError, match="aggregation_dirty"):
+            self._restart(tmp_path, clock)
 
     def test_engine_and_data_directory_are_exclusive(self, tmp_path, clock):
         from repro.core import ReputationEngine

@@ -379,6 +379,27 @@ class TestRep011:
         """
         assert shared_state(src) == []
 
+    def test_conditionally_built_lock_is_recognised(self):
+        """A lock taken from a parameter or built by a factory (a
+        conditional expression) still makes the class subject to the
+        rule — ``Table`` builds its lock this way."""
+        src = """\
+        from repro.storage.locks import ReadWriteLock
+
+        class Table:
+            def __init__(self, lock=None):
+                self._lock = lock if lock is not None else ReadWriteLock()
+                self._rows = 0
+
+            def insert(self):
+                with self._lock.write_locked():
+                    self._rows += 1
+
+            def count(self):
+                return self._rows
+        """
+        assert shared_state(src) == [("REP011", 13)]
+
     def test_init_write_alone_does_not_guard(self):
         """Construction happens-before publication; only a locked write
         in a real method marks an attribute as shared."""

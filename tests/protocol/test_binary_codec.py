@@ -151,7 +151,7 @@ _TUPLE_FACTORIES = {
             comments=(),
             reported_behaviors=("shows ads", "tracks"),
             analyzed=True,
-            epoch=3,
+            score_version=3,
         ),
         SoftwareSummary(
             software_id="01" * 20,

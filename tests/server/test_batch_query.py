@@ -106,7 +106,6 @@ class TestBatchEqualsSequential:
             )
         )
         assert isinstance(response, QuerySoftwareBatchResponse)
-        assert response.epoch == server.engine.aggregator.epoch
         assert len(response.results) == N_SOFTWARE
         # Frozen dataclasses: field-for-field equality, votes included.
         assert list(response.results) == sequential
@@ -249,17 +248,45 @@ class TestServerScoreCache:
         after = server.pipeline_stats()["score_cache"]
         assert after["hits"] == before["hits"] + 1
 
-    def test_epoch_bump_invalidates_cached_scores(self):
+    def test_version_bump_invalidates_cached_scores(self):
         server, sessions = _seeded_server()
         session = sessions[0]
-        server.handle_bytes("host", encode(_query(session, 0)))
-        epoch_before = server.engine.aggregator.epoch
-        # A new vote plus the next batch must republish and flush.
+        first = decode(server.handle_bytes("host", encode(_query(session, 0))))
+        # A new vote plus the next daily tick must republish and evict.
         server.engine.enroll_user("late")
         server.engine.cast_vote("late", SOFTWARE_IDS[0], 1)
         server.clock.advance(86400)
         server.run_daily_batch()
-        assert server.engine.aggregator.epoch == epoch_before + 1
+        version = server.engine.score_version(SOFTWARE_IDS[0])
+        assert version == first.score_version + 1
         response = decode(server.handle_bytes("host", encode(_query(session, 0))))
-        assert response.epoch == epoch_before + 1
+        assert response.score_version == version
         assert response.vote_count == 4
+
+    def test_sibling_publish_refreshes_cached_vendor_score(self):
+        """The vendor score is the mean over the vendor's digests, so a
+        publish on one digest must age its siblings' cached answers —
+        their own score version never moved."""
+        server = ReputationServer(
+            clock=SimClock(),
+            puzzle_difficulty=0,
+            rng=random.Random(11),
+            scoring_mode="streaming",
+        )
+        token = server.accounts.register("viewer", "password", "v@x.org")
+        server.accounts.activate("viewer", token)
+        session = server.accounts.login("viewer", "password")
+        for index in (0, 3):  # both vendor0
+            item = _item(index)
+            server.engine.register_software(
+                item.software_id, item.file_name, item.file_size,
+                item.vendor, item.version,
+            )
+        server.engine.enroll_user("rater")
+        server.engine.cast_vote("rater", SOFTWARE_IDS[0], 2)
+        first = decode(server.handle_bytes("host", encode(_query(session, 0))))
+        assert first.vendor_score == pytest.approx(2.0)
+        server.engine.cast_vote("rater", SOFTWARE_IDS[3], 8)
+        again = decode(server.handle_bytes("host", encode(_query(session, 0))))
+        assert again.score_version == first.score_version
+        assert again.vendor_score == pytest.approx(5.0)

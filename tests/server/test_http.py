@@ -13,7 +13,7 @@ def gateway_rig(engine):
         "s1", "kazaa.exe", 1000, vendor="Sharman Networks", version="2.6"
     )
     engine.cast_vote("alice", "s1", 3)
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     network = Network()
     gateway = HttpGateway(WebView(engine))
     network.register("www", gateway.handle)

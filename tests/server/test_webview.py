@@ -15,7 +15,7 @@ def view(engine):
     engine.cast_vote("bob", "s1", 5)
     comment = engine.add_comment("alice", "s1", "shows <b>ads</b> & popups")
     engine.add_remark("bob", comment.comment_id, positive=True)
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     return WebView(engine)
 
 
@@ -75,7 +75,7 @@ class TestSearchAndStats:
         engine.enroll_user("carol")
         engine.register_software("s9", "goodeditor.exe", 50, vendor="Honest")
         engine.cast_vote("carol", "s9", 10)
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         page = view.rankings_page(limit=3)
         assert "Highest rated" in page
         assert "Lowest rated" in page

@@ -8,7 +8,10 @@ must be answered in *its* codec even when the other one warmed the
 cache first.
 """
 
+import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -79,6 +82,46 @@ class TestPerCodecWire:
         assert cache.version_evictions == 1
         assert cache.wire_for(SOFTWARE_ID, info, "xml") is None
         assert cache.wire_for(SOFTWARE_ID, info, "binary") is None
+
+
+class TestVendorGeneration:
+    def test_sibling_publish_evicts_lazily(self):
+        """An entry built before its vendor's generation moved carries a
+        stale ``vendor_score``; its own version is unchanged."""
+        cache = ScoreResponseCache()
+        info = dataclasses.replace(_info(), vendor="V")
+        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation("V"))
+        assert cache.get(SOFTWARE_ID, 1) is info
+        cache.vendor_published("V")
+        assert cache.get(SOFTWARE_ID, 1) is None
+        assert cache.version_evictions == 1
+        # Rebuilt after the move: fresh until the vendor moves again.
+        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation("V"))
+        cache.vendor_published("other vendor")
+        assert cache.get(SOFTWARE_ID, 1) is info
+
+    def test_concurrent_publishes_lose_no_generation(self):
+        cache = ScoreResponseCache()
+        threads_n, bumps = 8, 500
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [
+                        cache.vendor_published("V") for _ in range(bumps)
+                    ]
+                )
+                for _ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.vendor_generation("V") == threads_n * bumps
 
 
 class TestNegotiatedServing:

@@ -37,7 +37,7 @@ def rigged_server():
         engine.trust.force_set(username, 20.0)
         engine.cast_vote(username, target.software_id, 9)
     server.clock.advance(days(1))
-    engine.run_daily_aggregation()
+    engine.reconcile_scores()
     return server, target
 
 
@@ -143,7 +143,7 @@ class TestDiscrimination:
             engine.trust.force_set(username, 20.0)
             engine.cast_vote(username, pis.software_id, 2)
         server.clock.advance(days(1))
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         report = run_self_promotion(
             server, pis.software_id, accounts=20, origins=20, patient_days=0
         )
@@ -177,7 +177,7 @@ class TestVendorRebrand:
             )
             engine.cast_vote("rater", executable.software_id, 2)
         server.clock.advance(days(1))
-        engine.run_daily_aggregation()
+        engine.reconcile_scores()
         return server, catalogue, run_vendor_rebrand
 
     def test_rebrand_wipes_vendor_score(self):

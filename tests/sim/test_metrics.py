@@ -64,7 +64,7 @@ class TestRatingError:
                 executable.software_id, executable.file_name, executable.file_size
             )
             rated_engine.cast_vote("u", executable.software_id, vote)
-        rated_engine.run_daily_aggregation()
+        rated_engine.reconcile_scores()
         index = {e.software_id: e for e in (good, bad)}
         truth_good = true_quality_score(good)
         truth_bad = true_quality_score(bad)
@@ -80,7 +80,7 @@ class TestRatingError:
         executable = build_executable("x.exe")
         assert score_error_for(rated_engine, executable) is None
         rated_engine.cast_vote("u", executable.software_id, 5)
-        rated_engine.run_daily_aggregation()
+        rated_engine.reconcile_scores()
         assert score_error_for(rated_engine, executable) == pytest.approx(
             abs(5 - true_quality_score(executable))
         )
@@ -89,7 +89,7 @@ class TestRatingError:
         rated = build_executable("rated.exe")
         unrated = build_executable("unrated.exe")
         rated_engine.cast_vote("u", rated.software_id, 5)
-        rated_engine.run_daily_aggregation()
+        rated_engine.reconcile_scores()
         assert rating_coverage(rated_engine, [rated, unrated]) == pytest.approx(0.5)
         assert rating_coverage(rated_engine, []) == 0.0
 
