@@ -2,13 +2,15 @@
 
 Two questions the streaming refactor must answer with numbers:
 
-* **Ingest**: per-vote delta scoring runs inside the vote's own commit
-  unit.  How much throughput does that cost against PR 6's
-  batched-durability baseline (binary WAL, group commit), where the
-  batch defers all scoring to the nightly run?  The write-back design
-  (sums and score rows live in memory, flushed in batches) keeps the
-  vote insert as the only per-commit WAL mutation, so the answer must
-  be "within 15%".
+* **Ingest**: both cadences fold every vote into the running sums
+  inside its commit unit; ``"streaming"`` also republishes the digest's
+  score per vote, while ``"batch"`` waits for the daily tick.  The
+  ratio therefore prices per-vote *publication* (row cache, version
+  bump, listener fan-out) on the batched-durability stack (binary WAL,
+  group commit), not scoring itself.  The write-back design (sums and
+  score rows live in memory, flushed in batches) keeps the vote insert
+  as the only per-commit WAL mutation, so the answer must be "within
+  15%".
 * **Fan-out**: when one vote republishes a score, how long until every
   one of 1000 subscribers holds the pushed update — on both the
   thread-per-connection and the event-loop transports?
@@ -62,7 +64,7 @@ def _percentile(values: list, fraction: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ingest: inline deltas vs the batch, on the PR 6 durable stack
+# Ingest: per-vote publication vs the daily cadence, on the durable stack
 # ---------------------------------------------------------------------------
 
 def _ingest_once(scoring_mode: str) -> float:
@@ -103,8 +105,8 @@ def run_p6_ingest() -> dict:
     median_ratio = ratios[len(ratios) // 2]
     rates = {"batch": best_batch, "streaming": best_streaming}
     rows = [
-        ["batch (nightly scoring)", f"{best_batch:,.0f}", "1.00"],
-        ["streaming (inline deltas)", f"{best_streaming:,.0f}", f"{ratio:.2f}"],
+        ["batch (fold, daily publish)", f"{best_batch:,.0f}", "1.00"],
+        ["streaming (fold + publish)", f"{best_streaming:,.0f}", f"{ratio:.2f}"],
     ]
     rendered = render_table(
         headers=["scoring mode", "votes/s", "vs batch"],
@@ -129,8 +131,8 @@ def test_p6_ingest(benchmark):
     for rate in result["rates"].values():
         assert rate > 0
     if not SMOKE:
-        # The acceptance bar: inline delta scoring stays within 15% of
-        # the batched-durability ingest baseline.
+        # The acceptance bar: publishing on every vote stays within 15%
+        # of folding alone on the batched-durability stack.
         assert result["ratio"] >= 0.85, result["rates"]
 
 

@@ -8,12 +8,10 @@ re-querying the server on every double-click of the same program buys
 nothing.  The TTL defaults to the publication period for exactly that
 reason.
 
-Entries are keyed by the **per-digest score version** every server
-answer and push update carries — the same key the server's response
-cache and push feed use.  Answers can arrive out of order (a batched
-prefetch racing a push, a retried request), so :meth:`ScoreCache.put`
-and :meth:`ScoreCache.apply_update` never replace a cached answer with
-one of a lower version.
+The newest answer or push wins, whatever its score version: versions
+are not durable (a server that dies before flushing republishes below
+what a client holds) and a follower numbers its own publishes, so
+refusing a lower version would drop every push after such a restart.
 
 Eviction is LRU over an :class:`~collections.OrderedDict` — O(1) per
 operation, where the previous implementation scanned every entry for
@@ -38,7 +36,7 @@ class _CacheEntry:
 
 
 class ScoreCache:
-    """A TTL + score-version LRU cache of :class:`SoftwareInfoResponse` records."""
+    """A TTL LRU cache of :class:`SoftwareInfoResponse` records."""
 
     def __init__(self, ttl: int = SECONDS_PER_DAY, max_entries: int = 4096):
         if ttl < 0:
@@ -69,26 +67,15 @@ class ScoreCache:
         self.hits += 1
         return entry.info
 
-    def put(self, info: SoftwareInfoResponse, now: int) -> bool:
-        """Cache a server answer (evicting the LRU entry when full).
-
-        Returns ``False`` — and keeps the cached answer — when a fresh
-        entry already holds a higher score version: the answer arrived
-        out of order and is older than what the cache knows.  An equal
-        version still replaces (comments change the body, not the
-        version).
-        """
-        current = self._entries.get(info.software_id)
-        if current is not None:
-            if info.score_version < current.info.score_version:
-                return False
+    def put(self, info: SoftwareInfoResponse, now: int) -> None:
+        """Cache a server answer (evicting the LRU entry when full)."""
+        if info.software_id in self._entries:
             del self._entries[info.software_id]
         elif len(self._entries) >= self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
         self._stale.pop(info.software_id, None)
         self._entries[info.software_id] = _CacheEntry(info, now)
-        return True
 
     def _retire(self, software_id: str) -> None:
         """Move an expired entry to the stale store (bounded LRU)."""
@@ -139,12 +126,12 @@ class ScoreCache:
         vendor score, behaviours), so it can only *amend* an answer we
         already hold — fresh **or stale**: pushed data is live by
         definition, so a stale entry it lands on is re-promoted with a
-        reset TTL.  Returns ``False`` when the digest was never queried
-        (the next lookup fetches the full answer anyway) or when the
-        update is older than the cached answer's version.
+        reset TTL.  Returns ``False`` (nothing cached to patch) when
+        the digest was never queried; the next lookup fetches the full
+        answer anyway.
         """
         entry = self._entries.get(software_id) or self._stale.get(software_id)
-        if entry is None or version < entry.info.score_version:
+        if entry is None:
             return False
         info = dataclasses.replace(
             entry.info,
@@ -152,7 +139,8 @@ class ScoreCache:
             vote_count=vote_count,
             score_version=version,
         )
-        return self.put(info, now)
+        self.put(info, now)
+        return True
 
     def demote(self, software_id: str) -> None:
         """Push feed signalled a resync: updates for this digest were

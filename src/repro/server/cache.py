@@ -134,7 +134,7 @@ class ScoreResponseCache:
         software_id: str,
         version: int,
         info: SoftwareInfoResponse,
-        vendor_generation: int = 0,
+        vendor_generation: int,
     ) -> None:
         """Cache one assembled response under the digest's score version.
 

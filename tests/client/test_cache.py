@@ -53,24 +53,19 @@ class TestCacheMechanics:
         assert len(cache) == 2
         assert cache.get("a", now=3).score == 9.0
 
-    def test_older_version_cannot_displace_newer(self):
-        """Answers and pushes can arrive out of order; the cache keeps
-        the highest score version it has seen."""
+    def test_lower_version_still_replaces(self):
+        """Versions do not survive a server restart (nor match across a
+        leader and its follower), so the newest arrival wins even when
+        it carries a lower version than the cached answer."""
         cache = ScoreCache(ttl=days(1))
-        assert cache.put(_info(score=7.0, version=5), now=0)
-        assert not cache.put(_info(score=3.0, version=4), now=1)
-        assert cache.get("sid", now=2).score == 7.0
-        assert not cache.apply_update(
-            "sid", score=1.0, vote_count=1, version=3, now=3
-        )
-        assert cache.get("sid", now=4).score_version == 5
-        # An equal version still replaces: comments change the answer
-        # without moving the score version.
-        assert cache.put(_info(score=7.0, version=5), now=5)
+        cache.put(_info(score=7.0, version=5), now=0)
+        cache.put(_info(score=3.0, version=1), now=1)
+        assert cache.get("sid", now=2).score == 3.0
         assert cache.apply_update(
-            "sid", score=6.0, vote_count=2, version=6, now=6
+            "sid", score=6.0, vote_count=2, version=2, now=3
         )
-        assert cache.get("sid", now=7).score == 6.0
+        patched = cache.get("sid", now=4)
+        assert (patched.score, patched.score_version) == (6.0, 2)
 
     def test_hit_rate(self):
         cache = ScoreCache(ttl=days(1))

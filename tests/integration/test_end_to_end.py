@@ -231,6 +231,41 @@ class TestServerOwnedDatabase:
         assert server2.engine.ratings.vote_count("sid") == 1
         server2.close()
 
+    def test_push_after_unclean_restart_lands_in_client_cache(
+        self, tmp_path, clock
+    ):
+        """Score versions live in the deferred row cache until a flush,
+        so a restart republishes below the versions a client already
+        holds.  The client must still take the next push."""
+        from repro.client.cache import ScoreCache
+
+        cache = ScoreCache()
+
+        def push(u):
+            cache.apply_update(
+                u.software_id, u.score, u.vote_count, u.version, clock.now()
+            )
+
+        server = self._restart(tmp_path, clock, scoring_mode="streaming")
+        server.engine.aggregator.add_listener(push)
+        for name in ("alice", "bob", "carol", "dave"):
+            server.engine.enroll_user(name)
+        server.engine.register_software("sid", "p.exe", 10, vendor="V")
+        server.engine.cast_vote("alice", "sid", 2)
+        cache.put(server.lookup_software("sid"), clock.now())
+        server.engine.cast_vote("bob", "sid", 4)
+        server.engine.cast_vote("carol", "sid", 5)
+        held = cache.get("sid", clock.now()).score_version
+        # No close(): the process dies with its publishes unflushed.
+        server2 = self._restart(tmp_path, clock, scoring_mode="streaming")
+        server2.engine.aggregator.add_listener(push)
+        server2.engine.cast_vote("dave", "sid", 9)
+        after = server2.engine.aggregator.score_of("sid")
+        assert after.version < held
+        cached = cache.get("sid", clock.now())
+        assert (cached.score, cached.vote_count) == (after.score, 4)
+        server2.close()
+
     def test_fsync_durability_knob(self, tmp_path, clock):
         server = self._restart(tmp_path, clock, durability="fsync")
         server.engine.enroll_user("alice")

@@ -41,7 +41,7 @@ class TestPerCodecWire:
     def test_encodings_live_side_by_side(self):
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 1, info)
+        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation(None))
         cached = cache.get(SOFTWARE_ID, 1)
         assert cached is info
 
@@ -54,7 +54,7 @@ class TestPerCodecWire:
     def test_wire_is_dropped_with_its_entry(self):
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 1, info)
+        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation(None))
         cache.attach_wire(SOFTWARE_ID, info, "xml", b"<xml/>")
         cache.invalidate(SOFTWARE_ID)
         assert cache.wire_for(SOFTWARE_ID, info, "xml") is None
@@ -64,8 +64,9 @@ class TestPerCodecWire:
         not resurrect stale bytes."""
         cache = ScoreResponseCache()
         old, new = _info(), _info()
-        cache.put(SOFTWARE_ID, 1, old)
-        cache.put(SOFTWARE_ID, 1, new)  # replaces the entry object
+        cache.put(SOFTWARE_ID, 1, old, cache.vendor_generation(None))
+        # Replaces the entry object.
+        cache.put(SOFTWARE_ID, 1, new, cache.vendor_generation(None))
         cache.attach_wire(SOFTWARE_ID, old, "xml", b"<stale/>")
         assert cache.wire_for(SOFTWARE_ID, new, "xml") is None
 
@@ -75,7 +76,7 @@ class TestPerCodecWire:
         *down*) drops the stale entry and every wire encoding with it."""
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 3, info)
+        cache.put(SOFTWARE_ID, 3, info, cache.vendor_generation(None))
         cache.attach_wire(SOFTWARE_ID, info, "xml", b"<xml/>")
         cache.attach_wire(SOFTWARE_ID, info, "binary", b"\x00bin")
         assert cache.get(SOFTWARE_ID, 4) is None
