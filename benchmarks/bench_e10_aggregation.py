@@ -57,7 +57,8 @@ def test_e10_freshness_exhibit(benchmark):
     assert result["batch"]["p99_seconds"] > 3600  # hours, not seconds
     assert result["streaming"]["p99_seconds"] < 1.0
     audit = result["streaming"]["reconciliation"]
-    assert audit["mismatched"] == 0
+    assert audit["sums_drifted"] == 0
+    assert audit["republished"] == 0
     assert audit["checked"] > 0
 
 

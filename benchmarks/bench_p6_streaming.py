@@ -12,8 +12,8 @@ Two questions the streaming refactor must answer with numbers:
   as the only per-commit WAL mutation, so the answer must be "within
   15%".
 * **Fan-out**: when one vote republishes a score, how long until every
-  one of 1000 subscribers holds the pushed update — on both the
-  thread-per-connection and the event-loop transports?
+  one of 1000 subscribers on the event-loop transport holds the pushed
+  update?
 """
 
 import os
@@ -30,7 +30,6 @@ from repro.clock import SimClock
 from repro.core import ReputationEngine
 from repro.net import EventLoopServer
 from repro.net.pipelining import PipeliningClient
-from repro.net.tcp import TcpTransportServer
 from repro.server import ReputationServer
 from repro.storage import Database
 
@@ -178,7 +177,7 @@ class _FanoutProbe:
                 self.done.set()
 
 
-def _measure_fanout(transport_cls) -> dict:
+def _measure_fanout() -> dict:
     server, session = _make_streaming_server()
     subscriptions = FANOUT_CONNECTIONS * FANOUT_SUBS_PER_CONNECTION
     expected = subscriptions * FANOUT_VOTES
@@ -186,7 +185,7 @@ def _measure_fanout(transport_cls) -> dict:
     clients = []
     feeds = []
     try:
-        with transport_cls(server.handle_bytes) as transport:
+        with EventLoopServer(server.handle_bytes) as transport:
             host, port = transport.address
             for _ in range(FANOUT_CONNECTIONS):
                 client = PipeliningClient(host, port)
@@ -218,41 +217,35 @@ def _measure_fanout(transport_cls) -> dict:
 
 
 def run_p6_fanout() -> dict:
-    results = {
-        name: _measure_fanout(cls)
-        for name, cls in (
-            ("threaded", TcpTransportServer),
-            ("evloop", EventLoopServer),
-        )
-    }
-    rows = [
-        [
-            name,
-            stats["subscriptions"],
-            stats["events"],
-            f"{stats['events_per_second']:,.0f}",
-            f"{stats['p50_ms']:.1f}",
-            f"{stats['p99_ms']:.1f}",
-        ]
-        for name, stats in results.items()
-    ]
+    stats = _measure_fanout()
     rendered = render_table(
-        headers=["transport", "subs", "events", "events/s", "p50 ms", "p99 ms"],
-        rows=rows,
-        title="P6: push fan-out (score republish to every subscriber)",
+        headers=["subs", "events", "events/s", "p50 ms", "p99 ms"],
+        rows=[
+            [
+                stats["subscriptions"],
+                stats["events"],
+                f"{stats['events_per_second']:,.0f}",
+                f"{stats['p50_ms']:.1f}",
+                f"{stats['p99_ms']:.1f}",
+            ]
+        ],
+        title=(
+            "P6: push fan-out (score republish to every subscriber,"
+            " event loop)"
+        ),
     )
-    return {"rendered": rendered, "results": results}
+    return {"rendered": rendered, "stats": stats}
 
 
 def test_p6_fanout(benchmark):
     result = run_once(benchmark, run_p6_fanout)
     record_exhibit("P6-fanout: push fan-out", result["rendered"])
-    for name, stats in result["results"].items():
-        # Every subscriber saw every republish, nobody was dropped.
-        assert stats["events"] == stats["subscriptions"] * FANOUT_VOTES, name
-        assert stats["dropped_dead"] == 0, name
-        if not SMOKE:
-            assert stats["subscriptions"] == 1000, name
+    stats = result["stats"]
+    # Every subscriber saw every republish, nobody was dropped.
+    assert stats["events"] == stats["subscriptions"] * FANOUT_VOTES
+    assert stats["dropped_dead"] == 0
+    if not SMOKE:
+        assert stats["subscriptions"] == 1000
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from benchmarks.exhibits import record_exhibit, run_once
 from repro.analysis import render_table
 from repro.clock import SimClock
 from repro.core import ReputationEngine
-from repro.net.tcp import TcpClient, TcpTransportServer
+from repro.net import EventLoopServer
+from repro.net.tcp import TcpClient
 from repro.protocol import QuerySoftwareRequest, VoteRequest, encode
 from repro.server import ReputationServer, VoteGate
 from repro.storage import Database
@@ -100,7 +101,7 @@ def run_pipeline_throughput() -> dict:
 
         results[("in-process", workers)] = _drive(workers, in_process)
 
-    with TcpTransportServer(server.handle_bytes) as tcp:
+    with EventLoopServer(server.handle_bytes) as tcp:
         host, port = tcp.address
         for workers in THREAD_COUNTS:
             def over_tcp(count):
@@ -292,22 +293,13 @@ def test_read_heavy_throughput(benchmark):
 
 #: Persistent-connection counts for the scaling axis.  Full mode climbs
 #: to 1000 (the C10k direction on one box); smoke keeps CI under a
-#: second per cell while still exercising both transports and codecs.
+#: second per cell while still exercising both codecs.
 CONNECTION_COUNTS = (1, 8, 32) if SMOKE else (1, 64, 256, 1000)
 #: Total requests per cell, spread over the open connections.
 WIRE_REQUESTS_TOTAL = 120 if SMOKE else 3000
 #: Client-side driver threads, each pumping a slice of the connections.
 WIRE_DRIVERS = 8
 CODEC_BENCH_OPS = 50 if SMOKE else 1000
-
-
-def _wire_transports():
-    from repro.net import EventLoopServer
-
-    return (
-        ("threaded", TcpTransportServer),
-        ("evloop", EventLoopServer),
-    )
 
 
 def _batch_message():
@@ -377,92 +369,85 @@ def _pump_slice(connections, payload: bytes, rounds: int, codec: str) -> None:
 
 
 def run_connection_scaling() -> dict:
-    """req/s over persistent connections: 2 transports x 2 codecs x N."""
+    """req/s over persistent connections on the event loop: 2 codecs x N."""
     from repro.protocol import encode_with
 
     results = {}
     peak_connections = {}
-    for transport_name, transport_cls in _wire_transports():
-        for codec in ("xml", "binary"):
-            for conns in CONNECTION_COUNTS:
-                # A fresh server per cell (as in P2): no cell inherits
-                # another's warm caches or lingering handler threads.
-                server = _make_server()
-                session = server.accounts.login("bench", "password")
-                payload = encode_with(
-                    codec,
-                    QuerySoftwareRequest(
-                        session=session,
-                        software_id="ab" * 20,
-                        file_name="bench.exe",
-                        file_size=4096,
-                        vendor="BenchCorp",
-                        version="1.0",
-                    ),
+    for codec in ("xml", "binary"):
+        for conns in CONNECTION_COUNTS:
+            # A fresh server per cell (as in P2): no cell inherits
+            # another's warm caches.
+            server = _make_server()
+            session = server.accounts.login("bench", "password")
+            payload = encode_with(
+                codec,
+                QuerySoftwareRequest(
+                    session=session,
+                    software_id="ab" * 20,
+                    file_name="bench.exe",
+                    file_size=4096,
+                    vendor="BenchCorp",
+                    version="1.0",
+                ),
+            )
+            rounds = max(2, WIRE_REQUESTS_TOTAL // conns)
+            with EventLoopServer(server.handle_bytes) as transport:
+                connections = _open_wire_connections(
+                    transport.address, conns, codec
                 )
-                rounds = max(2, WIRE_REQUESTS_TOTAL // conns)
-                with transport_cls(server.handle_bytes) as transport:
-                    connections = _open_wire_connections(
-                        transport.address, conns, codec
+                try:
+                    # Registration is asynchronous (sockets are handed
+                    # to their loop); wait for the full complement
+                    # before sampling the peak.
+                    deadline = time.perf_counter() + 30
+                    while (
+                        transport.connection_count < conns
+                        and time.perf_counter() < deadline
+                    ):
+                        time.sleep(0.005)
+                    peak_connections[(codec, conns)] = (
+                        transport.connection_count
                     )
-                    try:
-                        if transport_name == "evloop":
-                            # Registration is asynchronous (sockets are
-                            # handed to their loop); wait for the full
-                            # complement before sampling the peak.
-                            deadline = time.perf_counter() + 30
-                            while (
-                                transport.connection_count < conns
-                                and time.perf_counter() < deadline
-                            ):
-                                time.sleep(0.005)
-                            peak_connections[(codec, conns)] = (
-                                transport.connection_count
-                            )
-                        drivers = min(WIRE_DRIVERS, conns)
-                        slices = [
-                            connections[index::drivers]
-                            for index in range(drivers)
-                        ]
-                        barrier = threading.Barrier(drivers + 1)
+                    drivers = min(WIRE_DRIVERS, conns)
+                    slices = [
+                        connections[index::drivers]
+                        for index in range(drivers)
+                    ]
+                    barrier = threading.Barrier(drivers + 1)
 
-                        def pump(chunk, wire=payload, n=rounds, c=codec):
-                            barrier.wait()
-                            _pump_slice(chunk, wire, n, c)
-
-                        threads = [
-                            threading.Thread(target=pump, args=(chunk,))
-                            for chunk in slices
-                        ]
-                        for thread in threads:
-                            thread.start()
+                    def pump(chunk, wire=payload, n=rounds, c=codec):
                         barrier.wait()
-                        started = time.perf_counter()
-                        for thread in threads:
-                            thread.join()
-                        elapsed = time.perf_counter() - started
-                        results[(transport_name, codec, conns)] = (
-                            conns * rounds
-                        ) / elapsed
-                    finally:
-                        for sock in connections:
-                            sock.close()
+                        _pump_slice(chunk, wire, n, c)
+
+                    threads = [
+                        threading.Thread(target=pump, args=(chunk,))
+                        for chunk in slices
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    barrier.wait()
+                    started = time.perf_counter()
+                    for thread in threads:
+                        thread.join()
+                    elapsed = time.perf_counter() - started
+                    results[(codec, conns)] = (conns * rounds) / elapsed
+                finally:
+                    for sock in connections:
+                        sock.close()
 
     rows = [
-        [
-            transport_name,
-            codec,
-            conns,
-            f"{results[(transport_name, codec, conns)]:,.0f}",
-        ]
-        for transport_name, _ in _wire_transports()
+        [codec, conns, f"{results[(codec, conns)]:,.0f}"]
         for codec in ("xml", "binary")
         for conns in CONNECTION_COUNTS
     ]
     rendered = render_table(
-        headers=["transport", "codec", "connections", "req/s"],
+        headers=["codec", "connections", "req/s"],
         rows=rows,
-        title="Connection scaling (persistent connections, QuerySoftware)",
+        title=(
+            "Connection scaling (event loop, persistent connections,"
+            " QuerySoftware)"
+        ),
     )
     return {
         "rendered": rendered,
@@ -521,18 +506,8 @@ def test_wire_path(benchmark):
         assert rate > 0
     if not SMOKE:
         # The event loop holds the full complement of persistent
-        # connections open at once (the C10k direction)...
+        # connections open at once (the C10k direction).
         assert max(scaling["peak_connections"].values()) >= 500
-        # ...and out-serves thread-per-connection once the thread army
-        # gets large, on either codec.
-        for codec in ("xml", "binary"):
-            for conns in CONNECTION_COUNTS:
-                if conns < 256:
-                    continue
-                assert (
-                    scaling["results"][("evloop", codec, conns)]
-                    > scaling["results"][("threaded", codec, conns)]
-                ), (codec, conns)
         # The binary codec halves (at least) the serialization bill.
         assert result["codec"]["speedup"] >= 2.0
 

@@ -885,7 +885,7 @@ def run_e10_freshness(
             audit = engine.reconcile_scores()
             entry["reconciliation"] = {
                 "checked": audit.checked,
-                "mismatched": audit.mismatched,
+                "sums_drifted": audit.sums_drifted,
                 "republished": audit.republished,
             }
         results[mode] = entry
@@ -901,10 +901,13 @@ def run_e10_freshness(
             for mode in results
         ],
         title="E10: vote-to-visible freshness (24h batch vs streaming)",
-    ) + (
+    )
+    reconciliation = results["streaming"]["reconciliation"]
+    rendered += (
         "\nstreaming reconciliation: "
-        f"{results['streaming']['reconciliation']['checked']} digests audited, "
-        f"{results['streaming']['reconciliation']['mismatched']} mismatched"
+        f"{reconciliation['checked']} digests audited, "
+        f"{reconciliation['sums_drifted']} sums drifted, "
+        f"{reconciliation['republished']} republished"
     )
     results["rendered"] = rendered
     return results

@@ -25,6 +25,7 @@ import random
 from typing import Optional
 
 from ..errors import EndpointUnreachableError
+from ..net.tcp import TcpClient
 from ..storage.locks import create_lock
 from ..protocol import DEFAULT_CODEC, decode_with, encode_with
 from .resilience import ResilientCaller, RetryPolicy
@@ -55,8 +56,6 @@ class CoalescingLookupClient:
         resilience: Optional[ResilientCaller] = None,
     ):
         if transport is None:
-            from ..net.tcp import TcpClient  # local: avoid import cycle
-
             if host is None or port is None:
                 raise ValueError("need host and port when no transport is given")
             transport = TcpClient(host, port, timeout=timeout)

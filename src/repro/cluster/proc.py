@@ -65,7 +65,6 @@ class ProcessCluster:
         score_cache_size: Optional[int] = None,
         max_lag_units: int = 1024,
         vnodes: int = 64,
-        transport: str = "evloop",
         puzzle_difficulty: int = 0,
         checkpoint_wal_bytes: Optional[int] = None,
         heartbeat: float = 0.05,
@@ -81,7 +80,6 @@ class ProcessCluster:
             "durability": durability,
             "secret": secret,
             "max_lag_units": max_lag_units,
-            "transport": transport,
             "puzzle_difficulty": puzzle_difficulty,
             "checkpoint_wal_bytes": checkpoint_wal_bytes,
             "heartbeat": heartbeat,

@@ -1,8 +1,8 @@
 """One cluster shard: a ReputationServer as leader or follower.
 
 A :class:`ShardServer` owns a full durable stack (data directory,
-binary WAL, streaming engine, request pipeline, TCP transport) plus the
-cluster role glue:
+binary WAL, streaming engine, request pipeline, event-loop transport)
+plus the cluster role glue:
 
 **Leader** — the ordinary server, plus a
 :class:`~repro.cluster.replication.LeaderReplicator` shipping its WAL
@@ -38,6 +38,7 @@ from ..core.comments import COMMENTS_SCHEMA_NAME, REMARKS_SCHEMA_NAME
 from ..core.reputation import ReputationEngine
 from ..core.trust import TRUST_SCHEMA_NAME
 from ..errors import WalCorruptionError
+from ..net.evloop import EventLoopServer
 from ..protocol import (
     ActivateRequest,
     CommentRequest,
@@ -315,7 +316,6 @@ class ShardServer:
         port: int = 0,
         followers: tuple = (),
         leader_address: Optional[tuple] = None,
-        transport: str = "evloop",
         durability: str = "batched",
         clock: Optional[SimClock] = None,
         puzzle_difficulty: int = 0,
@@ -335,7 +335,6 @@ class ShardServer:
         self.leader_address = leader_address
         self._host = host
         self._port = port
-        self._transport_kind = transport
         # The shard builds its stack by hand (instead of the server's
         # data_directory path) because ``replication_meta`` must be
         # declared before recovery replays any WAL that mentions it.
@@ -460,18 +459,9 @@ class ShardServer:
 
     def start(self) -> tuple:
         """Bind the transport (and the replicator); returns the address."""
-        if self._transport_kind == "threaded":
-            from ..net.tcp import TcpTransportServer
-
-            transport = TcpTransportServer(
-                self.server.handle_bytes, host=self._host, port=self._port
-            )
-        else:
-            from ..net.evloop import EventLoopServer
-
-            transport = EventLoopServer(
-                self.server.handle_bytes, host=self._host, port=self._port
-            )
+        transport = EventLoopServer(
+            self.server.handle_bytes, host=self._host, port=self._port
+        )
         transport.start()
         self._server_transport = transport
         if self.replicator is not None:

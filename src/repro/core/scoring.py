@@ -81,10 +81,19 @@ class ReconciliationReport:
     ran_at: int
     #: Digests whose running sums were checked against full recompute.
     checked: int
-    #: Digests whose sums or published row did not match the recompute.
-    mismatched: int
-    #: Digests whose published score row differed and was republished.
+    #: Digests whose running sums differed from the recompute (drift).
+    sums_drifted: int
+    #: Digests whose sums or published row differed and were republished.
     republished: int
+
+    @property
+    def mismatched(self) -> int:
+        """Digests whose sums or published row differed from the recompute.
+
+        Every one of them is republished, so this is :attr:`republished`;
+        the name stays because the perfbench server reports it.
+        """
+        return self.republished
 
 
 class StreamingScorer:
@@ -311,14 +320,15 @@ class StreamingScorer:
         each pass is also a durability checkpoint for the derived state.
         """
         checked = 0
-        mismatched = 0
+        sums_drifted = 0
         republished = 0
         for software_id in sorted(self._ratings.rated_software_ids()):
             checked += 1
             weighted_sum, weight_sum, vote_count = self._recompute(software_id)
-            if self._sums.get(software_id) == [
-                weighted_sum, weight_sum, vote_count
-            ]:
+            recomputed = [weighted_sum, weight_sum, vote_count]
+            if self._sums.get(software_id) != recomputed:
+                sums_drifted += 1
+            else:
                 # The sums match; the published row can still lag (the
                 # batch cadence publishes only here, and a crash can
                 # lose a deferred publish), so verify it too.
@@ -330,8 +340,7 @@ class StreamingScorer:
                     and published.total_weight == weight_sum
                 ):
                     continue
-            mismatched += 1
-            self._sums[software_id] = [weighted_sum, weight_sum, vote_count]
+            self._sums[software_id] = recomputed
             self._dirty.add(software_id)
             if weight_sum > 0:
                 self._publish(
@@ -342,7 +351,7 @@ class StreamingScorer:
         return ReconciliationReport(
             ran_at=now,
             checked=checked,
-            mismatched=mismatched,
+            sums_drifted=sums_drifted,
             republished=republished,
         )
 

@@ -5,16 +5,16 @@ Internet, optionally through Tor (Sec. 2.2).  :class:`~repro.net.transport.Netwo
 provides simulated request/response delivery between named endpoints with
 pluggable latency and loss; :mod:`~repro.net.anonymity` builds Tor-like
 relay circuits so the server cannot see which client address originated a
-request.  Two real-socket transports serve the same byte-level entry
-point: :mod:`~repro.net.tcp` (one thread per connection, the reference
-implementation) and :mod:`~repro.net.evloop` (N selector loops
-multiplexing thousands of persistent connections).  Both share the frame
-grammar, HELLO codec negotiation, and correlation-id pipelining of
-:mod:`~repro.net.framing`; :mod:`~repro.net.pipelining` is the client
-side that keeps many requests in flight on one connection.
-:mod:`~repro.net.chaos` is the deterministic fault-injection harness
-that sits in front of either real server (or the simulated network)
-and replays scripted failure schedules.
+request.  One real-socket server serves the same byte-level entry
+point: :mod:`~repro.net.evloop` (N selector loops multiplexing
+thousands of persistent connections), speaking the frame grammar, HELLO
+codec negotiation, and correlation-id pipelining of
+:mod:`~repro.net.framing`.  Two clients talk to it:
+:mod:`~repro.net.tcp` (lockstep, the legacy XML framing) and
+:mod:`~repro.net.pipelining` (many requests in flight on one
+connection).  :mod:`~repro.net.chaos` is the deterministic
+fault-injection harness that sits in front of the real server (or the
+simulated network) and replays scripted failure schedules.
 """
 
 from .transport import Network, Endpoint, DeliveryStats, LatencyModel
@@ -31,11 +31,7 @@ from .framing import (
     unpack_correlated,
     write_frame,
 )
-from .tcp import (
-    CoalescingLookupClient,
-    TcpClient,
-    TcpTransportServer,
-)
+from .tcp import TcpClient
 from .evloop import EventLoopServer
 from .pipelining import PendingReply, PipeliningClient
 
@@ -50,9 +46,7 @@ __all__ = [
     "Fault",
     "AnonymityNetwork",
     "Circuit",
-    "TcpTransportServer",
     "TcpClient",
-    "CoalescingLookupClient",
     "EventLoopServer",
     "PipeliningClient",
     "PendingReply",

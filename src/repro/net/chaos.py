@@ -14,7 +14,7 @@ event*:
   ``random.Random`` — the same seed always produces the same fault
   sequence, so a chaos test that fails replays byte-for-byte.
 * :class:`ChaosProxy` is a real TCP proxy that sits between any client
-  and either real server (threaded or event-loop).  It forwards the
+  and the real event-loop server.  It forwards the
   request stream untouched and applies the schedule to **response
   frames**: added latency, byte corruption, torn writes, slow-loris
   trickling, mid-frame disconnects, and reordering of pipelined
@@ -226,9 +226,9 @@ class ChaosProxy:
     ``disconnect`` (mid-frame, after a prefix), and ``reorder`` (swap
     two complete pipelined responses) precise rather than approximate.
 
-    The proxy is transport-agnostic: the upstream may be a
-    :class:`~repro.net.tcp.TcpTransportServer` or an
-    :class:`~repro.net.evloop.EventLoopServer`; HELLO negotiation and
+    The proxy is transport-agnostic: the upstream is usually an
+    :class:`~repro.net.evloop.EventLoopServer`, but any framed server
+    works; HELLO negotiation and
     correlation ids pass through as ordinary frames (and can therefore
     be faulted like any other response — a corrupted HELLO is a fault
     scenario, not a proxy bug).

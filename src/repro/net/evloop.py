@@ -1,12 +1,12 @@
 """An event-driven TCP transport: the C10k wire path.
 
-The thread-per-connection server in :mod:`repro.net.tcp` burns one OS
-thread per client; at the paper's "every process launch is a lookup"
-duty cycle most of those threads sit idle between frames, and at
-thousands of connections the scheduler itself becomes the bottleneck.
-:class:`EventLoopServer` multiplexes instead: **N event loops on N
-threads** (accept-balanced round robin), each running a
-``selectors``-based readiness loop over non-blocking sockets with
+A thread-per-connection server burns one OS thread per client; at the
+paper's "every process launch is a lookup" duty cycle most of those
+threads sit idle between frames, and at thousands of connections the
+scheduler itself becomes the bottleneck.  :class:`EventLoopServer`
+multiplexes instead: **N event loops on N threads** (accept-balanced
+round robin), each running a ``selectors``-based readiness loop over
+non-blocking sockets with
 
 * per-connection read buffers and **incremental frame reassembly**
   (:class:`~repro.net.framing.FrameAssembler` — a torn frame costs
@@ -14,14 +14,16 @@ threads** (accept-balanced round robin), each running a
 * per-connection bounded write queues with **write-interest toggling**
   (``EPOLLOUT`` is only armed while output is pending) and
   **backpressure** — a peer that stops reading its responses gets its
-  read interest parked until the queue drains below the low watermark,
+  read interest parked until the queue drains below the low watermark;
+  the replies to one read leave in one send, made at once when nothing
+  is queued ahead of them,
 * **idle-connection reaping** — connections silent past the deadline
   are closed on a periodic sweep, so dead peers cannot pin memory.
 
 Negotiation, correlation ids, pipelining, and the handler-exception
-guarantee are the shared :class:`~repro.net.framing.ConnectionProtocol`
-— byte-for-byte the same wire behaviour as the threaded server, so old
-clients keep working unchanged.
+guarantee are the shared :class:`~repro.net.framing.ConnectionProtocol`;
+the legacy lockstep framing of :class:`~repro.net.tcp.TcpClient` keeps
+working unchanged.
 
 Application handlers run *inline* on the loop thread: the reputation
 pipeline's warm read path is microseconds (the version-keyed score
@@ -155,8 +157,13 @@ class _Loop:
         if connection.pending_out > self.server.max_pending_out:
             return False
         with self._push_lock:
+            idle = not self._push_inbox
             self._push_inbox.append((connection, payload))
-        self.wake()
+        # Only the push that makes the inbox non-empty needs to wake the
+        # loop: _drain_pushes empties it under the lock before it stops,
+        # so every later append lands before that drain finishes.
+        if idle:
+            self.wake()
         return True
 
     # -- the loop ----------------------------------------------------------
@@ -173,8 +180,13 @@ class _Loop:
                     self._accept_burst()
                 else:
                     self._service(data, mask)
-            self._register_adopted()
-            self._drain_pushes()
+            # Unlocked emptiness checks keep both locks off the
+            # per-request path; a stale read is safe because every
+            # producer sends a wake byte after its append.
+            if self._inbox:
+                self._register_adopted()
+            if self._push_inbox:
+                self._drain_pushes()
             self._maybe_reap()
         self._shutdown()
 
@@ -212,8 +224,8 @@ class _Loop:
             # fd been reused) between push() and this drain.
             if self.connections.get(connection.fd) is not connection:
                 continue
-            self._enqueue(connection, frame(payload))
-            self._flush(connection)
+            if self._write(connection, frame(payload)) and connection.outbox:
+                self._flush(connection)
 
     def register(self, sock: socket.socket) -> None:
         """Start serving one socket on this loop (loop thread only)."""
@@ -275,15 +287,45 @@ class _Loop:
         connection.last_active = self.now
         connection.assembler.feed(self._recv_view[:received])
         try:
-            for payload in connection.assembler.drain():
-                reply = connection.protocol.respond(payload)
-                self._enqueue(connection, frame(reply))
+            replies = [
+                frame(connection.protocol.respond(payload))
+                for payload in connection.assembler.drain()
+            ]
         except FrameError:
             # Oversized length header, or a correlated frame too short
             # for its id: the stream is unrecoverable.
             self._close(connection)
             return
-        self._flush(connection)
+        # One send for every reply to one read: a pipelined burst
+        # wakes the peer once, not once per reply.
+        if (
+            replies
+            and self._write(connection, b"".join(replies))
+            and connection.outbox
+        ):
+            self._flush(connection)
+
+    def _write(self, connection: _Connection, data: bytes) -> bool:
+        """Send *data* at once when nothing is queued ahead of it.
+
+        What the socket does not take is queued, and the caller then
+        runs :meth:`_flush` to arm write interest; with nothing queued,
+        interest and backpressure are unchanged.  ``False`` means the
+        send failed and the connection is closed.
+        """
+        if not connection.outbox:
+            try:
+                sent = connection.sock.send(data)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                self._close(connection)
+                return False
+            if sent == len(data):
+                return True
+            data = data[sent:]
+        self._enqueue(connection, data)
+        return True
 
     def _enqueue(self, connection: _Connection, data: bytes) -> None:
         connection.outbox.append(data)
@@ -380,10 +422,12 @@ class _Loop:
 class EventLoopServer:
     """Serve a ``(peer_address, bytes) -> bytes`` handler on N event loops.
 
-    Drop-in interface-compatible with
-    :class:`~repro.net.tcp.TcpTransportServer` (``start``/``stop``/
-    ``address``/context manager), but holds thousands of persistent
-    connections on a handful of threads.
+    ``start``/``stop``/``address`` or a context manager; holds
+    thousands of persistent connections on a handful of threads.  The
+    handler sees the peer's host address (without the ephemeral port)
+    as ``peer_address``, as on the simulated network: per-origin flood
+    control keys on the host, and anonymising proxies would hide it
+    (Sec. 2.2).
 
     >>> with EventLoopServer(server.handle_bytes, loops=4) as evs:
     ...     host, port = evs.address

@@ -1,8 +1,8 @@
-"""Wire framing shared by every TCP transport.
+"""Wire framing shared by the TCP server and its clients.
 
-Both the thread-per-connection server (:mod:`repro.net.tcp`) and the
-event-loop server (:mod:`repro.net.evloop`) speak the same frame
-grammar, so the frame layer lives here exactly once:
+The event-loop server (:mod:`repro.net.evloop`) and the clients
+(:mod:`repro.net.tcp`, :mod:`repro.net.pipelining`) speak the same
+frame grammar, so the frame layer lives here exactly once:
 
 * **Legacy frames** — a 4-byte big-endian length followed by that many
   payload bytes, responses in lockstep request order.  This is PR 1's
@@ -31,8 +31,8 @@ grammar, so the frame layer lives here exactly once:
 stream (the event loop feeds it whatever ``recv`` returned), and
 :class:`ConnectionProtocol` is the transport-neutral per-connection
 state machine — negotiation, correlation, and the
-exception-to-ErrorResponse guarantee — shared verbatim by both servers
-so their observable behaviour cannot drift apart.
+exception-to-ErrorResponse guarantee — kept apart from the readiness
+loop that drives it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ TRANSPORT_ERROR_CODE = "server-error"
 
 
 # ---------------------------------------------------------------------------
-# Blocking frame I/O (threaded server, clients)
+# Blocking frame I/O (clients)
 # ---------------------------------------------------------------------------
 
 def frame(payload: bytes) -> bytes:
@@ -320,7 +320,7 @@ class ConnectionProtocol:
     answers by closing the connection.  An exception escaping the
     application handler never kills the connection: it is logged and
     answered with an ``ErrorResponse`` encoded in the connection's
-    negotiated codec — the same guarantee on both transports.
+    negotiated codec.
     """
 
     __slots__ = ("peer_address", "codec", "extended", "push", "_handler",

@@ -1,199 +1,32 @@
-"""The thread-per-connection TCP transport.
+"""The lockstep TCP client and the blocking frame helpers.
 
-Serves the same ``handle_bytes`` entry point as the simulated
-:class:`~repro.net.transport.Network` over an actual OS socket, with one
-thread per connection (:class:`socketserver.ThreadingTCPServer`).  The
-frame grammar, HELLO codec negotiation, and correlation-id handling live
-in :mod:`repro.net.framing` and are shared byte-for-byte with the
-event-loop transport (:mod:`repro.net.evloop`) — this server stays the
-simple reference implementation, the event loop is the one that scales.
-
-The server sees the peer's host address (without the ephemeral port) as
-the request ``peer_address``, matching the semantics of the simulated network:
-per-origin flood control keys on the host, and anonymising proxies would
-hide it, exactly as Sec. 2.2 describes.
+:class:`TcpClient` speaks the legacy lockstep framing (no HELLO, XML
+payloads) to :class:`~repro.net.evloop.EventLoopServer`, which answers it
+through the shared :class:`~repro.net.framing.ConnectionProtocol`.
 """
 
 from __future__ import annotations
 
 import socket
-import socketserver
-import threading
-from typing import Callable, Optional
+from typing import Optional
 
-from ..errors import EndpointUnreachableError, FrameError
-from .framing import (
-    MAX_FRAME_BYTES,
-    ConnectionProtocol,
-    handler_accepts_codec,
-    handler_accepts_push,
-    read_frame,
-    write_frame,
-)
+from ..errors import EndpointUnreachableError
+from .framing import MAX_FRAME_BYTES, read_frame, write_frame
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "read_frame",
     "write_frame",
-    "TcpTransportServer",
     "TcpClient",
-    "CoalescingLookupClient",
-    "Handler",
 ]
 
-#: An endpoint handler, identical to the simulated network's signature:
-#: (source_address, request bytes) -> response bytes.  Handlers that
-#: additionally accept a ``codec=`` keyword get the connection's
-#: negotiated codec name per request.
-Handler = Callable[[str, bytes], bytes]
-
-
-# ---------------------------------------------------------------------------
-# Server side
-# ---------------------------------------------------------------------------
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    """One thread per connection: frame in, protocol, frame out, repeat.
-
-    A per-connection write lock serialises the handler thread's
-    responses with server-push frames arriving from the subscription
-    dispatcher thread, so the two can never interleave bytes on the
-    socket.
-    """
-
-    def setup(self) -> None:
-        self.server._track(self.request)
-        self._write_lock = threading.Lock()
-        self._closed = False
-
-    def finish(self) -> None:
-        self._closed = True
-        self.server._untrack(self.request)
-
-    def _send_push(self, payload: bytes) -> bool:
-        """Frame and send one server-initiated payload (any thread)."""
-        if self._closed:
-            return False
-        try:
-            with self._write_lock:
-                write_frame(self.request, payload)
-        except OSError:
-            return False
-        return True
-
-    def handle(self) -> None:
-        protocol = ConnectionProtocol(
-            peer_address=self.client_address[0],
-            handler=self.server.app_handler,
-            codec_aware=self.server.codec_aware,
-            push_sender=self._send_push,
-            push_aware=self.server.push_aware,
-        )
-        while True:
-            try:
-                payload = read_frame(self.request)
-            except (FrameError, OSError):
-                return
-            if payload is None:
-                return
-            try:
-                response = protocol.respond(payload)
-            except FrameError:
-                # Unrecoverable framing (e.g. a correlated frame too
-                # short for its id): nothing sane to answer with.
-                return
-            try:
-                with self._write_lock:
-                    write_frame(self.request, response)
-            except OSError:
-                return
-
-
-class TcpTransportServer(socketserver.ThreadingTCPServer):
-    """Serve a ``(peer_address, bytes) -> bytes`` handler over real TCP.
-
-    >>> server = TcpTransportServer(reputation_server.handle_bytes)
-    >>> server.start()
-    >>> host, port = server.address
-    >>> ...
-    >>> server.stop()
-
-    Also usable as a context manager (``with TcpTransportServer(h) as s:``).
-    Binding to port 0 (the default) picks a free ephemeral port.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, handler: Handler, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _ConnectionHandler)
-        self.app_handler = handler
-        self.codec_aware = handler_accepts_codec(handler)
-        self.push_aware = handler_accepts_push(handler)
-        self._thread: Optional[threading.Thread] = None
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-
-    def _track(self, connection: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.add(connection)
-
-    def _untrack(self, connection: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.discard(connection)
-
-    @property
-    def address(self) -> tuple:
-        """The bound ``(host, port)`` pair."""
-        return self.server_address[0], self.server_address[1]
-
-    def start(self) -> "TcpTransportServer":
-        """Serve connections on a background thread until :meth:`stop`."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="tcp-transport-server", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, sever live connections, join the thread.
-
-        Established connections are shut down too — a stopped server
-        that silently keeps answering old connections would make
-        restart behaviour untestable (and unlike a real process exit).
-        """
-        if self._thread is not None:
-            self.shutdown()
-            self._thread.join()
-            self._thread = None
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self.server_close()
-
-    def __enter__(self) -> "TcpTransportServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        self.stop()
-
-
-# ---------------------------------------------------------------------------
-# Client side
-# ---------------------------------------------------------------------------
 
 class TcpClient:
     """A blocking request/response client over one persistent connection.
 
     Speaks the legacy lockstep framing (no HELLO, XML payloads) — this is
-    the PR 1 wire format, and both servers answer it unchanged.  Not
-    thread-safe: concurrent callers must each open their own client, or
+    the PR 1 wire format, which the event-loop server answers unchanged.
+    Not thread-safe: concurrent callers must each open their own client, or
     use :class:`~repro.net.pipelining.PipeliningClient` to multiplex one
     connection.
     """
@@ -234,7 +67,3 @@ class TcpClient:
     def __exit__(self, exc_type, exc, traceback) -> None:
         self.close()
 
-
-# Moved to repro.client.lookup (it is protocol-aware, not frame-level);
-# re-exported here for backward compatibility.
-from ..client.lookup import CoalescingLookupClient  # noqa: E402

@@ -2,7 +2,7 @@
 
 Every request the server answers — whether it arrives as XML bytes from
 the simulated :class:`~repro.net.transport.Network`, over the real TCP
-transport in :mod:`repro.net.tcp`, or as an already-decoded message from
+transport in :mod:`repro.net.evloop`, or as an already-decoded message from
 in-process callers — flows through the same composable middleware chain:
 
     instrumentation → codec → error mapping → auth → rate limit → handlers

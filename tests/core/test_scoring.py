@@ -141,7 +141,7 @@ class TestReconciliation:
         engine.cast_vote("carol", DIGEST_A, 8)
         report = engine.reconcile_scores()
         assert report.checked == 1
-        assert report.mismatched == 0
+        assert report.sums_drifted == 0
         assert report.republished == 0
 
     def test_reconcile_repairs_corrupted_sums(self, engine):
@@ -150,7 +150,7 @@ class TestReconciliation:
         version = engine.score_version(DIGEST_A)
         engine.scorer._sums[DIGEST_A][0] += 1.5  # inject drift
         report = engine.reconcile_scores()
-        assert report.mismatched == 1
+        assert report.sums_drifted == 1
         assert report.republished == 1
         assert engine.score_version(DIGEST_A) == version + 1
         assert engine.scorer.sums_of(DIGEST_A) == tuple(
@@ -168,7 +168,7 @@ class TestReconciliation:
         engine.flush_scores()
         engine.aggregator._row_cache[DIGEST_A]["score"] = 9.99
         report = engine.reconcile_scores()
-        assert report.mismatched == 1
+        assert (report.sums_drifted, report.republished) == (0, 1)
         assert engine.software_reputation(DIGEST_A).score == 2.0
 
     def test_maybe_run_aggregation_reconciles_in_streaming_mode(self, engine):
@@ -176,7 +176,7 @@ class TestReconciliation:
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.clock.advance(86_400 + 1)
         report = engine.maybe_run_aggregation()
-        assert (report.checked, report.mismatched, report.republished) == (
+        assert (report.checked, report.sums_drifted, report.republished) == (
             1, 0, 0
         )
         assert engine.maybe_run_aggregation() is None  # not due again yet

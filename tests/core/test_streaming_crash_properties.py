@@ -140,5 +140,6 @@ def test_kill_mid_burst_recovers_identical_sums(
     # And the audit agrees: a reconciliation pass right after recovery
     # finds nothing to repair.
     report = recovered.reconcile_scores()
-    assert report.mismatched == 0
+    assert report.sums_drifted == 0
+    assert report.republished == 0
     recovered_db.close()

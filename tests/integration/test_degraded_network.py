@@ -28,10 +28,10 @@ from repro.client.resilience import (
 from repro.net import (
     ChaosNetwork,
     ChaosSchedule,
+    EventLoopServer,
     Fault,
     Network,
     PipeliningClient,
-    TcpTransportServer,
 )
 from repro.protocol import QuerySoftwareRequest, SoftwareInfoResponse
 from repro.server import ReputationServer
@@ -252,7 +252,7 @@ class TestServerRestartMidSession:
             vendor=None,
             version="1.0",
         )
-        first = TcpTransportServer(server.handle_bytes).start()
+        first = EventLoopServer(server.handle_bytes).start()
         host, port = first.address
         transport = ResilientTransport(
             factory=lambda: PipeliningClient(
@@ -276,7 +276,7 @@ class TestServerRestartMidSession:
                 assert transport.codec == "binary"
             finally:
                 first.stop()  # the restart: every connection dies
-            with TcpTransportServer(server.handle_bytes, port=port):
+            with EventLoopServer(server.handle_bytes, port=port):
                 after = transport.request_message(query)
                 assert isinstance(after, SoftwareInfoResponse)
                 assert transport.codec == "binary"  # renegotiated, not stale

@@ -15,11 +15,11 @@ from repro.net import (
     ChaosNetwork,
     ChaosProxy,
     ChaosSchedule,
+    EventLoopServer,
     Fault,
     Network,
     PipeliningClient,
     TcpClient,
-    TcpTransportServer,
 )
 from repro.protocol import (
     PuzzleRequest,
@@ -80,8 +80,8 @@ class TestSchedules:
 
 @pytest.fixture
 def wire(server):
-    """A threaded transport server; tests park a proxy in front."""
-    with TcpTransportServer(server.handle_bytes) as transport:
+    """An event-loop transport server; tests park a proxy in front."""
+    with EventLoopServer(server.handle_bytes) as transport:
         yield transport
 
 

@@ -1,6 +1,8 @@
 """The event-loop transport: readiness multiplexing at connection scale."""
 
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -221,3 +223,51 @@ class TestNegotiatedPath:
                     response = decode_with("binary", slot.result(5.0))
                     assert isinstance(response, PuzzleResponse)
                 assert client.round_trips == 32
+
+
+class TestPushDelivery:
+    def test_foreign_thread_pushes_arrive_complete_and_in_order(self):
+        """Pushes from another thread interleave with replies to requests
+        in flight on the same connection: none is lost or reordered."""
+        events = 1000
+        channels = []
+        received = []
+        refused = []
+
+        def handler(source, payload, push=None):
+            if payload == b"subscribe":
+                channels.append(push)
+            return payload
+
+        def pusher():
+            for index in range(events):
+                if not channels[0].send_event(7, b"%d" % index):
+                    refused.append(index)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with EventLoopServer(handler) as evs, PipeliningClient(
+                *evs.address,
+                codec="xml",
+                on_event=lambda subscription, body: received.append(body),
+            ) as client:
+                assert client.request(b"subscribe") == b"subscribe"
+                thread = threading.Thread(target=pusher)
+                thread.start()
+                answered = 0
+                while thread.is_alive() or answered < 200:
+                    pending = [
+                        client.submit(b"ping-%d" % index)
+                        for index in range(answered, answered + 8)
+                    ]
+                    for index, slot in enumerate(pending, answered):
+                        assert slot.result(5.0) == b"ping-%d" % index
+                    answered += len(pending)
+                thread.join(10.0)
+                assert not thread.is_alive()
+                assert _wait_until(lambda: len(received) >= events)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert refused == []
+        assert received == [b"%d" % index for index in range(events)]

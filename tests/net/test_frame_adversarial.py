@@ -1,10 +1,8 @@
-"""Hostile bytes at the frame layer, against both transports.
+"""Hostile bytes at the frame layer, against the event-loop transport.
 
-Every test here runs twice — once against the thread-per-connection
-server and once against the event loop — because the two transports
-share one :class:`~repro.net.framing.ConnectionProtocol` and must react
-identically to torn frames, forged length headers, and peers that
-vanish or crawl mid-frame.
+Torn frames, forged length headers, and peers that vanish or crawl
+mid-frame must neither wedge a loop nor desynchronise the
+:class:`~repro.net.framing.ConnectionProtocol` of the connection.
 """
 
 import socket
@@ -14,7 +12,7 @@ import time
 
 import pytest
 
-from repro.net import EventLoopServer, TcpClient, TcpTransportServer
+from repro.net import EventLoopServer, TcpClient
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     frame,
@@ -31,15 +29,9 @@ from repro.protocol import (
     encode,
 )
 
-SERVERS = {
-    "threaded": TcpTransportServer,
-    "evloop": EventLoopServer,
-}
-
-
-@pytest.fixture(params=sorted(SERVERS))
-def wire_server(request, server):
-    with SERVERS[request.param](server.handle_bytes) as transport:
+@pytest.fixture(params=["evloop"])  # the param keeps test ids stable
+def wire_server(server):
+    with EventLoopServer(server.handle_bytes) as transport:
         yield transport
 
 

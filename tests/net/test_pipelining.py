@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.errors import EndpointUnreachableError
-from repro.net import EventLoopServer, PipeliningClient, TcpTransportServer
+from repro.net import EventLoopServer, PipeliningClient
 from repro.net.framing import (
     make_hello,
     pack_correlated,
@@ -23,16 +23,10 @@ from repro.protocol import (
     encode_with,
 )
 
-SERVERS = {
-    "threaded": TcpTransportServer,
-    "evloop": EventLoopServer,
-}
-
-
-@pytest.fixture(params=sorted(SERVERS))
-def wire_server(request, server):
-    """The same reputation server behind either transport."""
-    with SERVERS[request.param](server.handle_bytes) as transport:
+@pytest.fixture(params=["evloop"])  # the param keeps test ids stable
+def wire_server(server):
+    """The reputation server behind the event-loop transport."""
+    with EventLoopServer(server.handle_bytes) as transport:
         yield transport
 
 
@@ -59,15 +53,14 @@ class TestNegotiation:
         def blind(source, payload):
             return server.handle_bytes(source, payload)
 
-        for transport_cls in SERVERS.values():
-            with transport_cls(blind) as transport:
-                host, port = transport.address
-                with PipeliningClient(host, port, codec="binary") as client:
-                    assert client.codec == "xml"
-                    response = decode_with(
-                        "xml", client.request(encode_with("xml", PuzzleRequest()))
-                    )
-                    assert isinstance(response, PuzzleResponse)
+        with EventLoopServer(blind) as transport:
+            host, port = transport.address
+            with PipeliningClient(host, port, codec="binary") as client:
+                assert client.codec == "xml"
+                response = decode_with(
+                    "xml", client.request(encode_with("xml", PuzzleRequest()))
+                )
+                assert isinstance(response, PuzzleResponse)
 
     def test_server_that_cannot_hello_is_refused(self):
         """A pre-negotiation server answers the HELLO as a request; the

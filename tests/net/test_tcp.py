@@ -1,17 +1,12 @@
-"""The real TCP transport: framing, the server adapter, the client."""
+"""Blocking frame I/O, and the lockstep client against the event loop."""
 
 import socket
 
 import pytest
 
-from repro.errors import EndpointUnreachableError, FrameError
-from repro.net.tcp import (
-    MAX_FRAME_BYTES,
-    TcpClient,
-    TcpTransportServer,
-    read_frame,
-    write_frame,
-)
+from repro.errors import FrameError
+from repro.net.evloop import EventLoopServer
+from repro.net.tcp import MAX_FRAME_BYTES, TcpClient, read_frame, write_frame
 from repro.protocol import (
     ErrorResponse,
     PuzzleRequest,
@@ -84,67 +79,11 @@ class TestFrameCodec:
             right.close()
 
 
-class TestTcpTransport:
-    def test_serves_handle_bytes(self, server):
-        with TcpTransportServer(server.handle_bytes) as tcp:
-            host, port = tcp.address
-            with TcpClient(host, port) as client:
-                response = decode(client.request(encode(PuzzleRequest())))
-        assert isinstance(response, PuzzleResponse)
-
-    def test_multiple_requests_one_connection(self, server):
-        with TcpTransportServer(server.handle_bytes) as tcp:
-            host, port = tcp.address
-            with TcpClient(host, port) as client:
-                for _ in range(5):
-                    response = decode(client.request(encode(PuzzleRequest())))
-                    assert isinstance(response, PuzzleResponse)
-
-    def test_garbage_bytes_get_error_response_not_disconnect(self, server):
-        with TcpTransportServer(server.handle_bytes) as tcp:
-            host, port = tcp.address
-            with TcpClient(host, port) as client:
-                response = decode(client.request(b"<<<not xml"))
-                assert isinstance(response, ErrorResponse)
-                assert response.code == "bad-request"
-                # The connection survives a hostile payload.
-                follow_up = decode(client.request(encode(PuzzleRequest())))
-                assert isinstance(follow_up, PuzzleResponse)
-
-    def test_source_is_peer_host_without_port(self, server):
-        seen = []
-
-        def spying(source, payload):
-            seen.append(source)
-            return server.handle_bytes(source, payload)
-
-        with TcpTransportServer(spying) as tcp:
-            host, port = tcp.address
-            with TcpClient(host, port) as client:
-                client.request(encode(PuzzleRequest()))
-        assert seen == ["127.0.0.1"]
-
-    def test_connect_refused_maps_to_unreachable(self):
-        # Bind a port, close it, then connect to the now-dead address.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        host, port = probe.getsockname()
-        probe.close()
-        with pytest.raises(EndpointUnreachableError):
-            TcpClient(host, port, timeout=0.5)
-
-    def test_stop_is_idempotent(self, server):
-        tcp = TcpTransportServer(server.handle_bytes)
-        tcp.start()
-        tcp.stop()
-        tcp.stop()
-
-
 class TestHandlerExceptionGuarantee:
     """Regression: an app-handler crash used to kill the connection
     silently — no reply, no log — leaving the client hung on its read.
-    The handler thread must answer with an encoded ErrorResponse and
-    keep the connection serving."""
+    The server must answer with an encoded ErrorResponse and keep the
+    connection serving."""
 
     def test_exception_becomes_error_response(self, caplog):
         calls = []
@@ -155,8 +94,8 @@ class TestHandlerExceptionGuarantee:
                 raise RuntimeError("handler bug")
             return encode(PuzzleRequest())
 
-        with TcpTransportServer(exploding) as tcp:
-            host, port = tcp.address
+        with EventLoopServer(exploding) as evs:
+            host, port = evs.address
             with TcpClient(host, port) as client:
                 response = decode(client.request(b"boom"))
                 assert isinstance(response, ErrorResponse)
@@ -179,8 +118,8 @@ class TestHandlerExceptionGuarantee:
                 raise ValueError(payload.decode())
             return server.handle_bytes(source, payload)
 
-        with TcpTransportServer(flaky) as tcp:
-            host, port = tcp.address
+        with EventLoopServer(flaky) as evs:
+            host, port = evs.address
             with TcpClient(host, port) as client:
                 for index in range(6):
                     if index % 2:

@@ -12,8 +12,9 @@ import pytest
 
 from repro.clock import SimClock
 from repro.errors import EndpointUnreachableError
-from repro.net import CoalescingLookupClient
-from repro.net.tcp import TcpClient, TcpTransportServer
+from repro.client.lookup import CoalescingLookupClient
+from repro.net import EventLoopServer
+from repro.net.tcp import TcpClient
 from repro.protocol import (
     QuerySoftwareBatchRequest,
     QuerySoftwareBatchResponse,
@@ -155,7 +156,7 @@ class TestBatchOverTcp:
     def test_batch_of_n_is_exactly_one_round_trip(self):
         server, sessions = _seeded_server()
         session = sessions[0]
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes) as tcp:
             host, port = tcp.address
             with TcpClient(host, port) as sequential_client:
                 sequential = [
@@ -187,7 +188,7 @@ class TestBatchOverTcp:
 class TestCoalescingClient:
     def test_sequential_queries_degenerate_to_single_item_batches(self):
         server, sessions = _seeded_server()
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes) as tcp:
             host, port = tcp.address
             with CoalescingLookupClient(host, port, sessions[0]) as client:
                 for index in range(4):
@@ -201,7 +202,7 @@ class TestCoalescingClient:
         """Hold the wire, let callers pile up, then let one leader ship."""
         server, sessions = _seeded_server()
         results = {}
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes) as tcp:
             host, port = tcp.address
             with CoalescingLookupClient(host, port, sessions[0]) as client:
                 client._io_lock.acquire()  # simulate an in-flight round trip
@@ -231,7 +232,7 @@ class TestCoalescingClient:
 
     def test_refused_batch_raises_for_every_caller(self):
         server, __ = _seeded_server()
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes) as tcp:
             host, port = tcp.address
             with CoalescingLookupClient(host, port, "bogus") as client:
                 with pytest.raises(EndpointUnreachableError, match="refused"):

@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.clock import SimClock
-from repro.net.tcp import TcpClient, TcpTransportServer
+from repro.net.evloop import EventLoopServer
+from repro.net.tcp import TcpClient
 from repro.protocol import (
     OkResponse,
     QuerySoftwareRequest,
@@ -167,7 +168,7 @@ class TestTcpConcurrency:
         failures = []
         barrier = threading.Barrier(N_THREADS)
 
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes, loops=N_THREADS) as tcp:
             host, port = tcp.address
 
             def worker(user_index: int, session: str) -> None:
@@ -205,7 +206,7 @@ class TestTcpConcurrency:
         server.gate = VoteGate(server.engine, burst=10_000.0)
         sessions = _make_sessions(server)
 
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(server.handle_bytes, loops=N_THREADS) as tcp:
             host, port = tcp.address
 
             def worker(user_index: int, session: str) -> None:
@@ -261,7 +262,9 @@ class TestReadHeavyTcpConcurrency:
             if isinstance(message, QuerySoftwareRequest):
                 server.handle_bytes("seed-host", encode(message))
 
-        with TcpTransportServer(server.handle_bytes) as tcp:
+        with EventLoopServer(
+            server.handle_bytes, loops=len(sessions)
+        ) as tcp:
             host, port = tcp.address
 
             def reader(reader_index: int, session: str) -> None:
