@@ -18,10 +18,10 @@ Systems*): a periodic scan of votes, comments, and remarks that emits
   Sybils, whose accounts are *old* at strike time and so invisible to
   the age-based detector).
 
-Flags feed back into the trust prior through
-:func:`apply_penalties` — Bayesian ledgers take decaying beta evidence
-(:meth:`~repro.core.trust2.BayesianTrustLedger.penalize`), the linear
-baseline takes a plain debit — and travel to operators as a
+Flags feed back into trust through :func:`apply_penalties`, which calls
+:meth:`~repro.core.trust.TrustModel.penalize` whichever model runs (the
+Bayesian ledger takes decaying beta evidence, the linear baseline a
+plain debit), and travel to operators as a
 :class:`~repro.protocol.messages.CollusionReport` in both codecs.
 
 Thresholds are deliberately conjunctive (set size AND count AND
@@ -92,9 +92,6 @@ class CollusionConfig:
     deviation_consensus_votes: int = 5
     #: Minimum same-direction distance from the prior mean.
     deviation_min: float = 4.0
-    # -- feedback ----------------------------------------------------------
-    #: Trust debit per flag when the ledger is the linear baseline.
-    linear_flag_debit: float = 10.0
 
     def __post_init__(self):
         if self.ring_min_size < 2:
@@ -314,21 +311,18 @@ def flagged_users(report: CollusionReport) -> dict:
     return counts
 
 
-def apply_penalties(trust, report: CollusionReport, now: int, config=None) -> int:
-    """Feed a report's flags back into the trust prior.
+def apply_penalties(trust, report: CollusionReport, now: int) -> int:
+    """Feed a report's flags back into trust.
 
-    Bayesian ledgers take decaying beta evidence per flag; the linear
-    baseline takes a plain debit.  Unenrolled names (bootstrap
-    pseudo-users) are skipped.  Returns the number of users penalized.
+    Each flagged member takes :meth:`~repro.core.trust.TrustModel.penalize`
+    with their distinct flag count; the per-flag amount is the trust
+    model's own policy.  Unenrolled names (bootstrap pseudo-users) are
+    skipped.  Returns the number of users penalized.
     """
-    config = config or CollusionConfig()
     penalized = 0
     for username, count in sorted(flagged_users(report).items()):
         if not trust.is_enrolled(username):
             continue
-        if hasattr(trust, "penalize"):
-            trust.penalize(username, now, flags=count)
-        else:
-            trust.debit(username, config.linear_flag_debit * count)
+        trust.penalize(username, now, flags=count)
         penalized += 1
     return penalized

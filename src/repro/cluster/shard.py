@@ -36,7 +36,6 @@ from ..clock import SimClock
 from ..core.ratings import VOTES_SCHEMA_NAME, Vote
 from ..core.comments import COMMENTS_SCHEMA_NAME, REMARKS_SCHEMA_NAME
 from ..core.reputation import ReputationEngine
-from ..core.trust import TRUST_SCHEMA_NAME
 from ..errors import WalCorruptionError
 from ..net.evloop import EventLoopServer
 from ..protocol import (
@@ -217,26 +216,25 @@ class FollowerApplier:
         primary = [
             m for m in mutations if m["table"] not in DERIVED_TABLES
         ]
-        trust_table = self._db.table(TRUST_SCHEMA_NAME)
-        old_trust = {}
-        for mutation in primary:
-            if (
-                mutation["table"] == TRUST_SCHEMA_NAME
-                and mutation["op"] == "update"
-            ):
-                row = trust_table.get_or_none(mutation["pk"])
-                if row is not None:
-                    old_trust[mutation["pk"]] = row["trust"]
+        trust = self._engine.trust
+        old_weights = {
+            m["pk"]: trust.weight_of(m["pk"])
+            for m in primary
+            if m["table"] == trust.table_name
+            and m["op"] == "update"
+            and trust.is_enrolled(m["pk"])
+        }
         with self._db.transaction():
             for mutation in primary:
                 self._db.apply_record(mutation)
             self._meta.upsert({"key": _APPLIED_KEY, "value": lsn})
         self._applied = lsn
         self.units_applied += 1
-        self._fold_derived(primary, trust_table, old_trust)
+        self._fold_derived(primary, old_weights)
 
-    def _fold_derived(self, primary, trust_table, old_trust) -> None:
+    def _fold_derived(self, primary, old_weights) -> None:
         """Post-commit: recompute derived state and invalidate caches."""
+        trust = self._engine.trust
         touched_comments = set()
         for mutation in primary:
             table = mutation["table"]
@@ -250,15 +248,14 @@ class FollowerApplier:
                         timestamp=row["timestamp"],
                     )
                 )
-            elif (
-                table == TRUST_SCHEMA_NAME and mutation["op"] == "update"
-            ):
+            elif table == trust.table_name and mutation["op"] == "update":
+                # One fold per user and unit: the weight before the unit
+                # to the weight after it, however many updates it holds.
                 username = mutation["pk"]
-                old = old_trust.get(username)
-                row = trust_table.get_or_none(username)
-                if old is not None and row is not None:
-                    self._engine.fold_replicated_trust(
-                        username, old, row["trust"]
+                old = old_weights.pop(username, None)
+                if old is not None and trust.is_enrolled(username):
+                    self._engine.fold_trust_change(
+                        username, old, trust.weight_of(username)
                     )
             elif table == COMMENTS_SCHEMA_NAME:
                 touched_comments.add(mutation["pk"])

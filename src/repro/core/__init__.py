@@ -27,7 +27,7 @@ from .taxonomy import (
     TABLE1_CELLS,
     TABLE2_CELLS,
 )
-from .trust import TrustPolicy, TrustLedger
+from .trust import TrustModel, TrustPolicy, TrustLedger
 from .trust2 import BayesianTrustPolicy, BayesianTrustLedger
 from .ratings import RatingBook, Vote, MIN_SCORE, MAX_SCORE
 from .comments import CommentBoard, Comment, Remark
@@ -60,6 +60,7 @@ __all__ = [
     "transform_with_reputation",
     "TABLE1_CELLS",
     "TABLE2_CELLS",
+    "TrustModel",
     "TrustPolicy",
     "TrustLedger",
     "BayesianTrustPolicy",

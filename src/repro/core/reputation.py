@@ -26,8 +26,8 @@ from .comments import Comment, CommentBoard, Remark
 from .moderation import ModerationQueue
 from .ratings import RatingBook, Vote
 from .scoring import ReconciliationReport, StreamingScorer
-from .trust import TrustLedger, TrustPolicy
-from .trust2 import BayesianTrustLedger, BayesianTrustPolicy
+from .trust import TrustLedger
+from .trust2 import BayesianTrustLedger
 from .vendor import SoftwareRecord, VendorBook, VendorScore
 
 SCORING_BATCH = "batch"
@@ -35,6 +35,8 @@ SCORING_STREAMING = "streaming"
 
 TRUST_LINEAR = "linear"
 TRUST_BAYESIAN = "bayesian"
+
+_TRUST_MODELS = {TRUST_LINEAR: TrustLedger, TRUST_BAYESIAN: BayesianTrustLedger}
 
 
 class ReputationEngine:
@@ -44,26 +46,22 @@ class ReputationEngine:
         self,
         database: Optional[Database] = None,
         clock: Optional[SimClock] = None,
-        trust_policy: Optional[TrustPolicy] = None,
+        trust_policy=None,
         moderated_comments: bool = False,
         scoring_mode: str = SCORING_BATCH,
         trust_model: str = TRUST_LINEAR,
-        bayesian_policy: Optional[BayesianTrustPolicy] = None,
         collusion: bool = False,
         collusion_config=None,
     ):
         if scoring_mode not in (SCORING_BATCH, SCORING_STREAMING):
             raise ServerError(f"unknown scoring mode {scoring_mode!r}")
-        if trust_model not in (TRUST_LINEAR, TRUST_BAYESIAN):
+        if trust_model not in _TRUST_MODELS:
             raise ServerError(f"unknown trust model {trust_model!r}")
         self.db = database or Database()
         self.clock = clock or SimClock()
         self.scoring_mode = scoring_mode
-        self.trust_model = trust_model
-        if trust_model == TRUST_BAYESIAN:
-            self.trust = BayesianTrustLedger(self.db, bayesian_policy)
-        else:
-            self.trust = TrustLedger(self.db, trust_policy)
+        #: The policy, if given, must be the named model's own.
+        self.trust = _TRUST_MODELS[trust_model](self.db, trust_policy)
         #: Collusion-pass state (None report until the first pass runs).
         self.collusion_enabled = collusion
         self.collusion_config = collusion_config
@@ -87,7 +85,7 @@ class ReputationEngine:
         self.scorer = StreamingScorer(
             self.db, self.ratings, self.trust, self.aggregator
         )
-        self.trust.add_listener(self._on_trust_changed)
+        self.trust.add_listener(self.fold_trust_change)
         self.bootstrap_scores()
 
     # -- score publication fan-out ------------------------------------------
@@ -115,11 +113,6 @@ class ReputationEngine:
     def _flush_pending_updates(self) -> None:
         updates, self._pending_updates = self._pending_updates, []
         self._dispatch_updates(updates)
-
-    def _on_trust_changed(self, username: str, old: float, new: float) -> None:
-        self.scorer.apply_trust_change(
-            username, old, new, self.clock.now(), self._publish_immediately
-        )
 
     # -- membership ---------------------------------------------------------
 
@@ -157,37 +150,15 @@ class ReputationEngine:
         pushed the instant this returns) are in-memory derived state
         (see :mod:`.scoring` for the durability model).
         """
-        consensus = self._settled_consensus(software_id)
-        vote = self.ratings.cast(username, software_id, score, self.clock.now())
+        now = self.clock.now()
+        settled = self.aggregator.score_of(software_id)
+        vote = self.ratings.cast(username, software_id, score, now)
         self.scorer.apply_vote(vote, self._publish_immediately)
-        if consensus is not None and self.trust.is_enrolled(username):
-            # Bayesian evidence: judge the vote against the consensus
-            # that was settled *before* it landed.  Agreement earns
-            # alpha, contradiction earns beta; either may move the
-            # user's weight, re-publishing their other digests through
-            # the trust listeners wired above.
-            agreed = (
-                abs(score - consensus) <= self.trust.policy.agreement_band
-            )
-            self.trust.observe_vote(username, agreed, self.clock.now())
+        # The trust model judges the vote against the score published
+        # *before* it landed; a moved weight re-publishes the voter's
+        # other digests through the trust listeners wired above.
+        self.trust.observe_vote(username, score, settled, now)
         return vote
-
-    def _settled_consensus(self, software_id: str) -> Optional[float]:
-        """The published score, if settled enough to judge votes against.
-
-        Only meaningful under the Bayesian trust model; the linear
-        ledger has no per-vote evidence channel, so this returns
-        ``None`` there.
-        """
-        if self.trust_model != TRUST_BAYESIAN:
-            return None
-        published = self.aggregator.score_of(software_id)
-        if (
-            published is None
-            or published.vote_count < self.trust.policy.consensus_min_votes
-        ):
-            return None
-        return published.score
 
     def add_comment(self, username: str, software_id: str, text: str) -> Comment:
         """Post a comment (pending if moderation is on)."""
@@ -210,14 +181,13 @@ class ReputationEngine:
                 )
                 author = self.comments.get_comment(comment_id).username
                 policy = self.trust.policy
+                now = self.clock.now()
                 if positive:
-                    self.trust.credit(
-                        author,
-                        policy.credit_per_positive_remark,
-                        self.clock.now(),
-                    )
+                    amount = policy.credit_per_positive_remark
+                    self.trust.credit(author, amount, now)
                 else:
-                    self.trust.debit(author, policy.debit_per_negative_remark)
+                    amount = policy.debit_per_negative_remark
+                    self.trust.debit(author, amount, now)
         except BaseException:
             self._pending_updates.clear()
             raise
@@ -238,14 +208,15 @@ class ReputationEngine:
         """
         self.scorer.apply_vote(vote, self._publish_immediately)
 
-    def fold_replicated_trust(
+    def fold_trust_change(
         self, username: str, old_weight: float, new_weight: float
     ) -> None:
-        """Re-weight a replicated trust change into the streaming sums.
+        """Re-weight a trust change into the streaming sums.
 
-        The follower reads the old weight before applying the leader's
-        trust-row mutation and the new weight after; this folds the
-        delta exactly like the leader's own trust listener did.
+        The engine's own trust listener, and the follower's fold of a
+        replicated trust row: the follower reads the old weight before
+        applying the leader's mutation and the new weight after, so the
+        delta is the one the leader folded.
         """
         self.scorer.apply_trust_change(
             username,
@@ -287,8 +258,7 @@ class ReputationEngine:
             return None
         # Trust maintenance runs first so the score pass below uses the
         # post-decay, post-penalty weights.
-        if self.trust_model == TRUST_BAYESIAN:
-            self.trust.refresh(self.clock.now())
+        self.trust.refresh(self.clock.now())
         if self.collusion_enabled:
             self.run_collusion_pass()
         return self.reconcile_scores()
@@ -298,9 +268,8 @@ class ReputationEngine:
 
         Returns the :class:`~repro.protocol.messages.CollusionReport`
         (also kept on ``last_collusion_report`` for the server's admin
-        endpoint).  Works against either trust model — penalties land
-        as decaying beta evidence on the Bayesian ledger and as a plain
-        debit on the linear baseline.
+        endpoint).  Penalties land through
+        :meth:`~.trust.TrustModel.penalize`, whichever model runs.
         """
         # Imported lazily: analysis sits above core in the layer order.
         from ..analysis.collusion import CollusionDetector, apply_penalties
@@ -310,9 +279,7 @@ class ReputationEngine:
         )
         self.collusion_passes += 1
         report = detector.run(self.clock.now(), passes=self.collusion_passes)
-        apply_penalties(
-            self.trust, report, self.clock.now(), detector.config
-        )
+        apply_penalties(self.trust, report, self.clock.now())
         self.last_collusion_report = report
         return report
 

@@ -55,7 +55,7 @@ from typing import Optional
 from ..storage import Column, ColumnType, Database, Schema
 from .aggregation import Aggregator, ScoreUpdate
 from .ratings import RatingBook, Vote
-from .trust import TrustLedger
+from .trust import TrustModel
 
 SUMS_SCHEMA_NAME = "score_sums"
 
@@ -111,7 +111,7 @@ class StreamingScorer:
         self,
         database: Database,
         ratings: RatingBook,
-        trust: TrustLedger,
+        trust: TrustModel,
         aggregator: Aggregator,
     ):
         self._db = database

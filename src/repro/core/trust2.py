@@ -2,7 +2,8 @@
 
 The paper's linear trust factor (:mod:`.trust`) grows +5/week and never
 forgets — a Sybil that idles for 20 weeks votes with full weight forever.
-This module replaces it (behind ``trust_model="bayesian"``) with a
+:class:`BayesianTrustLedger`, a :class:`~.trust.TrustModel` subclass the
+engine runs under ``trust_model="bayesian"``, replaces it with a
 *posterior over vote reliability*:
 
     weight(u) = (prior_alpha + alpha_u) / (prior_alpha + alpha_u
@@ -46,9 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..storage import Column, ColumnType, Database, Schema
-
-BETA_TRUST_SCHEMA_NAME = "trust_evidence"
+from ..storage import Column, ColumnType, Schema
+from .trust import TrustModel
 
 #: ``force_set`` accepts legacy linear-scale trust (1..100) from shared
 #: fixtures/bootstrap corpora; values above 1 are divided by this.
@@ -131,7 +131,7 @@ class BayesianTrustPolicy:
 def beta_trust_schema() -> Schema:
     """Schema of the Bayesian evidence table (one posterior per user)."""
     return Schema(
-        name=BETA_TRUST_SCHEMA_NAME,
+        name="trust_evidence",
         columns=[
             Column("username", ColumnType.TEXT),
             Column("alpha", ColumnType.FLOAT, check=lambda value: value >= 0),
@@ -162,79 +162,35 @@ def _decay(alpha: float, beta: float, anchor_ts: int, now: int, half_life: int):
     )
 
 
-class BayesianTrustLedger:
+class BayesianTrustLedger(TrustModel):
     """Beta-Binomial trust bookkeeping over the database.
 
-    Drop-in for :class:`~.trust.TrustLedger` where the engine is
-    concerned — same listener contract, same membership surface, and
-    :meth:`weight_of` returns the aggregation weight (here a posterior
-    mean in ``(0, 1)`` instead of a 1–100 factor).  Evidence arrives
-    through :meth:`observe_vote` (consensus agreement, fed by the
-    engine's per-vote judge), :meth:`credit`/:meth:`debit` (remark
-    feedback), and :meth:`penalize` (collusion flags).
+    A :class:`~.trust.TrustModel` subclass: same listener contract and
+    membership surface as the linear ledger, but :meth:`weight_of`
+    returns a posterior mean in ``(0, 1)`` instead of a 1–100 factor.
+    Evidence arrives through :meth:`observe_vote` (consensus agreement),
+    :meth:`credit`/:meth:`debit` (remark feedback), and
+    :meth:`~.trust.TrustModel.penalize` (collusion flags).
     """
 
-    def __init__(self, database: Database, policy: BayesianTrustPolicy | None = None):
-        self.policy = policy or BayesianTrustPolicy()
-        #: ``(username, old_weight, new_weight)`` callbacks, fired
-        #: whenever a posterior mean actually moves — identical contract
-        #: to the linear ledger so the streaming scorer can't tell the
-        #: models apart.
-        self.listeners: list = []
-        if database.has_table(BETA_TRUST_SCHEMA_NAME):
-            self._table = database.table(BETA_TRUST_SCHEMA_NAME)
-        else:
-            self._table = database.create_table(beta_trust_schema())
+    policy_class = BayesianTrustPolicy
+    schema = staticmethod(beta_trust_schema)
 
-    def add_listener(self, listener) -> None:
-        """Register a ``(username, old_weight, new_weight)`` callback."""
-        self.listeners.append(listener)
+    def _weight(self, row: dict) -> float:
+        # The stored posterior: decay materializes only through
+        # mutations and refresh, never on read, so the streaming sums
+        # stay exact between listener events.
+        return self.policy.weight(row["alpha"], row["beta"])
 
-    # -- membership ----------------------------------------------------------
-
-    def enroll(self, username: str, signup_ts: int) -> float:
-        """Open a posterior at the prior; returns the starting weight."""
-        self._table.insert(
-            {
-                "username": username,
-                "alpha": 0.0,
-                "beta": 0.0,
-                "signup_ts": signup_ts,
-                "anchor_ts": signup_ts,
-            }
-        )
+    def _floor(self) -> float:
         return self.policy.prior_mean
 
-    def is_enrolled(self, username: str) -> bool:
-        return username in self._table
+    def _flag_debit(self) -> float:
+        return self.policy.flag_penalty_beta
 
-    def signup_timestamp(self, username: str) -> int:
-        return self._table.get(username)["signup_ts"]
-
-    def all_members(self) -> list:
-        """Usernames with a posterior."""
-        return [row["username"] for row in self._table.all()]
-
-    # -- reads ---------------------------------------------------------------
-
-    def get(self, username: str) -> float:
-        """Current weight of *username* (errors if not enrolled)."""
-        row = self._table.get(username)
-        return self.policy.weight(row["alpha"], row["beta"])
-
-    def weight_of(self, username: str) -> float:
-        """Aggregation weight of a voter (posterior mean, in ``(0, 1)``).
-
-        Unknown voters (bootstrap pseudo-users removed later) weigh the
-        prior mean rather than erroring, so aggregation stays total.
-        Reads the stored posterior — decay materializes only through
-        mutations and :meth:`refresh`, never silently, so the streaming
-        sums stay exact between listener events.
-        """
-        row = self._table.get_or_none(username)
-        if row is None:
-            return self.policy.prior_mean
-        return self.policy.weight(row["alpha"], row["beta"])
+    def _fresh_row(self, signup_ts: int) -> dict:
+        """A posterior at the prior, its decay grid anchored at signup."""
+        return {"alpha": 0.0, "beta": 0.0, "anchor_ts": signup_ts}
 
     def evidence_of(self, username: str) -> tuple:
         """Stored ``(alpha, beta, anchor_ts)`` — exhibits and tests."""
@@ -243,47 +199,34 @@ class BayesianTrustLedger:
 
     # -- evidence ------------------------------------------------------------
 
-    def observe_vote(self, username: str, agreed: bool, now: int) -> float:
-        """Fold one judged vote into the posterior; returns the new weight.
+    def observe_vote(
+        self, username: str, score: int, settled, now: int
+    ) -> None:
+        """Fold one judged vote into the posterior.
 
-        The engine calls this at cast time whenever the digest already
-        has a settled consensus: agreement earns ``agreement_alpha``,
-        contradiction costs ``disagreement_beta``.
+        *settled* is the digest's published score before the vote
+        landed.  Once ``consensus_min_votes`` back it, a vote within
+        ``agreement_band`` of it earns ``agreement_alpha`` and any other
+        costs ``disagreement_beta``; before that, votes are not judged.
         """
-        if agreed:
-            return self._bump(username, self.policy.agreement_alpha, 0.0, now)
-        return self._bump(username, 0.0, self.policy.disagreement_beta, now)
+        if (
+            settled is None
+            or settled.vote_count < self.policy.consensus_min_votes
+            or not self.is_enrolled(username)
+        ):
+            return
+        if abs(score - settled.score) <= self.policy.agreement_band:
+            self._bump(username, self.policy.agreement_alpha, 0.0, now)
+        else:
+            self._bump(username, 0.0, self.policy.disagreement_beta, now)
 
-    def credit(self, username: str, amount: float, now: int) -> float:
-        """Add *amount* of alpha evidence (remark feedback); new weight."""
-        if amount < 0:
-            raise ValueError("credit amount must be non-negative")
+    def _credit(self, username: str, amount: float, now: int) -> float:
+        """Add *amount* of alpha evidence (remark feedback)."""
         return self._bump(username, amount, 0.0, now)
 
-    def debit(self, username: str, amount: float, now: int | None = None) -> float:
-        """Add *amount* of beta evidence; returns the new weight.
-
-        ``now`` is optional for signature compatibility with the linear
-        ledger's ``debit(username, amount)``; without it the evidence
-        lands at the stored anchor (decaying marginally early — a
-        conservative, deterministic approximation).
-        """
-        if amount < 0:
-            raise ValueError("debit amount must be non-negative")
+    def _debit(self, username: str, amount: float, now: int) -> float:
+        """Add *amount* of beta evidence (remarks, collusion flags)."""
         return self._bump(username, 0.0, amount, now)
-
-    def penalize(self, username: str, now: int, flags: int = 1) -> float:
-        """Apply collusion-flag penalties; returns the new weight.
-
-        Heavy beta evidence per flag — but evidence decays, so a
-        falsely accused user recovers within a half-life or two while a
-        ring that keeps colluding keeps getting re-flagged.
-        """
-        if flags < 1:
-            raise ValueError("flags must be at least 1")
-        return self._bump(
-            username, 0.0, self.policy.flag_penalty_beta * flags, now
-        )
 
     def force_set(self, username: str, trust: float) -> None:
         """Fabricate a posterior whose mean approximates *trust*.
@@ -302,8 +245,7 @@ class BayesianTrustLedger:
         )
         alpha = max(0.0, mean * total - self.policy.prior_alpha)
         beta = max(0.0, (1.0 - mean) * total - self.policy.prior_beta)
-        row = self._table.get(username)
-        old = self.policy.weight(row["alpha"], row["beta"])
+        old = self.get(username)
         self._table.update(username, {"alpha": alpha, "beta": beta})
         self._fire(username, old, self.policy.weight(alpha, beta))
 
@@ -320,47 +262,25 @@ class BayesianTrustLedger:
         """
         moved = 0
         for username in sorted(self._table.primary_keys()):
-            row = self._table.get(username)
-            alpha, beta, anchor = _decay(
-                row["alpha"], row["beta"], row["anchor_ts"],
-                now, self.policy.half_life,
-            )
-            if anchor == row["anchor_ts"]:
-                continue
-            old = self.policy.weight(row["alpha"], row["beta"])
-            new = self.policy.weight(alpha, beta)
-            self._table.update(
-                username, {"alpha": alpha, "beta": beta, "anchor_ts": anchor}
-            )
-            if new != old:
-                moved += 1
-                self._fire(username, old, new)
+            old = self.get(username)
+            moved += self._bump(username, 0.0, 0.0, now) != old
         return moved
 
     # -- internals -----------------------------------------------------------
 
     def _bump(
-        self, username: str, d_alpha: float, d_beta: float, now: int | None
+        self, username: str, d_alpha: float, d_beta: float, now: int
     ) -> float:
         row = self._table.get(username)
-        old = self.policy.weight(row["alpha"], row["beta"])
-        alpha, beta, anchor = row["alpha"], row["beta"], row["anchor_ts"]
-        if now is not None:
-            alpha, beta, anchor = _decay(
-                alpha, beta, anchor, now, self.policy.half_life
-            )
+        old = self._weight(row)
+        stored = (row["alpha"], row["beta"], row["anchor_ts"])
+        alpha, beta, anchor = _decay(*stored, now, self.policy.half_life)
         alpha += d_alpha
         beta += d_beta
-        self._table.update(
-            username, {"alpha": alpha, "beta": beta, "anchor_ts": anchor}
-        )
+        if (alpha, beta, anchor) != stored:
+            self._table.update(
+                username, {"alpha": alpha, "beta": beta, "anchor_ts": anchor}
+            )
         new = self.policy.weight(alpha, beta)
-        if new != old:
-            self._fire(username, old, new)
+        self._fire(username, old, new)
         return new
-
-    def _fire(self, username: str, old: float, new: float) -> None:
-        if new == old:
-            return
-        for listener in self.listeners:
-            listener(username, old, new)

@@ -56,8 +56,11 @@ class Finding:
 class Module:
     """One parsed source file, as every rule sees it."""
 
-    def __init__(self, path: str, rel_path: str, source: str):
+    def __init__(self, path: str, rel_path: str, source: str, whole_tree=True):
         self.path = path
+        #: False when the scan named a file or a directory inside a
+        #: package, so the rest of that package went unscanned.
+        self.whole_tree = whole_tree
         #: Posix-style path used for reports and rule scoping; always
         #: compared with a leading "/" so suffix markers like
         #: ``/clock.py`` match at any tree depth.
@@ -185,16 +188,36 @@ class LintResult:
         return not self.findings
 
 
+def outermost_package(directory: str) -> Optional[str]:
+    """The outermost package *directory* lies in (itself included)."""
+    directory = os.path.abspath(directory)
+    package = None
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        package = directory
+        directory = os.path.dirname(directory)
+    return package
+
+
 def iter_python_files(paths: Iterable[str]) -> Iterator[tuple]:
-    """Yield ``(abs_path, rel_path)`` for every .py under *paths*."""
+    """Yield ``(path, rel_path, whole_tree)`` for every .py under *paths*.
+
+    Inside a package, *rel_path* starts at the outermost package
+    (``repro/cluster/shard.py`` whether ``src``, ``src/repro/cluster``
+    or the file was named), so rule scoping and module names see one
+    path; elsewhere it is relative to the scanned directory.
+    """
     for path in paths:
         if os.path.isfile(path):
-            # Keep the full (normalized) path, not the basename: rule
-            # scoping matches markers like "/net/" against it, and a
-            # directly-named file must scope the same as when its tree
-            # is scanned.
-            yield path, os.path.normpath(path)
+            package = outermost_package(os.path.dirname(path) or os.curdir)
+            if package is None:
+                yield path, os.path.normpath(path), False
+            else:
+                base = os.path.dirname(package)
+                yield path, os.path.relpath(path, base), False
             continue
+        package = outermost_package(path)
+        base = os.path.dirname(package) if package else path
+        whole = package in (None, os.path.abspath(path))
         for dirpath, dirnames, filenames in os.walk(path):
             dirnames[:] = sorted(
                 name for name in dirnames
@@ -203,18 +226,18 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[tuple]:
             for filename in sorted(filenames):
                 if filename.endswith(".py"):
                     full = os.path.join(dirpath, filename)
-                    yield full, os.path.relpath(full, path)
+                    yield full, os.path.relpath(full, base), whole
 
 
 def load_modules(paths: Iterable[str]) -> tuple:
     """Parse every file; returns ``(modules, parse_error_findings)``."""
     modules: List[Module] = []
     errors: List[Finding] = []
-    for path, rel_path in iter_python_files(paths):
+    for path, rel_path, whole_tree in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
-            modules.append(Module(path, rel_path, source))
+            modules.append(Module(path, rel_path, source, whole_tree))
         except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
             line = getattr(exc, "lineno", 1) or 1
             errors.append(Finding(

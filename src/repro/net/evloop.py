@@ -455,14 +455,14 @@ class EventLoopServer:
         self.tick = min(self.reap_interval, 0.5)
         self._stopping = threading.Event()
         self._started = False
+        count = loops if loops is not None else 4
+        if count < 1:
+            raise ValueError("need at least one event loop")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(backlog)
         self._listener.setblocking(False)
-        count = loops if loops is not None else 4
-        if count < 1:
-            raise ValueError("need at least one event loop")
         self._loops = [_Loop(self, index) for index in range(count)]
         self._placement = itertools.count()
         # Loop 0 is the acceptor; connections are spread round-robin.
@@ -518,6 +518,11 @@ class EventLoopServer:
                 loop.wake()
             for loop in self._loops:
                 loop.thread.join()
+        else:
+            # No loop thread ran, so none closed its selector and wake
+            # pair on the way out; close them here.
+            for loop in self._loops:
+                loop._shutdown()
         try:
             self._listener.close()
         except OSError:

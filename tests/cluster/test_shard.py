@@ -111,6 +111,41 @@ class TestEndToEnd:
         )
         client.close()
 
+    def test_trust_change_replicates_into_follower_scores(self, pair):
+        """Remarks move the author's trust on the leader; the follower
+        folds the replicated trust row into its own sums and publishes
+        the same score, bit for bit."""
+        leader, follower, topology = pair
+        item = QuerySoftwareItem(
+            software_id=DIGEST, file_name="evil.exe", file_size=1
+        )
+        author = _client(topology)
+        author.lookup(item)
+        author.vote(DIGEST, 9)
+        graders = []
+        for name in ("bob", "carol"):
+            grader = ClusterClient(topology, read_from_followers=True)
+            grader.register(name, "password1", f"{name}@example.com")
+            grader.login(name, "password1")
+            graders.append(grader)
+        graders[0].vote(DIGEST, 2)
+        reply = author.comment(DIGEST, "installs a background keylogger")
+        comment_id = int(reply.detail.split()[1])
+        assert _wait(lambda: _caught_up(leader, follower))
+        before = follower.engine.software_reputation(DIGEST).score
+        assert before == 5.5
+        for grader in graders:
+            grader.remark(DIGEST, comment_id, positive=True)
+        assert leader.engine.trust.weight_of("alice") == 2.0
+        assert _wait(lambda: _caught_up(leader, follower))
+        published = leader.engine.software_reputation(DIGEST).score
+        assert published != before
+        assert follower.engine.trust.weight_of("alice") == 2.0
+        followed = follower.engine.software_reputation(DIGEST).score
+        assert followed.hex() == published.hex()
+        for client in (author, *graders):
+            client.close()
+
     def test_follower_refuses_writes_with_not_leader(self, pair):
         leader, follower, topology = pair
         client = _client(topology)

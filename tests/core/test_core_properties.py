@@ -53,7 +53,7 @@ def test_trust_always_within_bounds_and_under_cap(events):
             value = ledger.credit("u", amount, now=at)
             assert value <= policy.cap_at(0, at)
         else:
-            value = ledger.debit("u", amount)
+            value = ledger.debit("u", amount, now=at)
         assert policy.minimum <= value <= policy.maximum
 
 

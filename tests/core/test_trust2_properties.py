@@ -20,10 +20,15 @@ import shutil
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import weeks
+from repro.core.aggregation import SoftwareScore
 from repro.core.trust2 import BayesianTrustLedger, BayesianTrustPolicy
 from repro.storage import Database
 
 HALF_LIFE = weeks(8)
+
+#: A consensus settled at 5 by five votes: a 5 agrees, a 10 does not.
+SETTLED = SoftwareScore("ab" * 20, 5.0, 5, 1.0, 0)
+AGREE, DISAGREE = 5, 10
 
 _USERS = [f"user{index}" for index in range(4)]
 
@@ -51,9 +56,9 @@ def _apply(ledger: BayesianTrustLedger, ops, base_now: int = 0) -> None:
         username = _USERS[user]
         now += 1
         if kind == "agree":
-            ledger.observe_vote(username, agreed=True, now=now)
+            ledger.observe_vote(username, AGREE, SETTLED, now=now)
         elif kind == "disagree":
-            ledger.observe_vote(username, agreed=False, now=now)
+            ledger.observe_vote(username, DISAGREE, SETTLED, now=now)
         elif kind == "credit":
             ledger.credit(username, magnitude, now=now)
         elif kind == "debit":
@@ -89,7 +94,8 @@ def test_monotone_in_positive_evidence(ops, extra_agreements):
     for username in _USERS:
         previous = ledger.weight_of(username)
         for _ in range(extra_agreements):
-            current = ledger.observe_vote(username, agreed=True, now=now)
+            ledger.observe_vote(username, AGREE, SETTLED, now=now)
+            current = ledger.weight_of(username)
             assert current >= previous
             previous = current
 

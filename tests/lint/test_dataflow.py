@@ -16,6 +16,7 @@ import pytest
 
 from repro.lint import lint_paths, lint_text
 from repro.lint.dataflow.catalog import (
+    CATALOG_ENV,
     CatalogError,
     DEFAULT_CATALOG_TEXT,
     default_catalog,
@@ -473,6 +474,44 @@ class TestRep012:
         catalog against — hygiene must not spray false staleness."""
         result = lint_text("VALUE = 1\n", "app/mod.py", select=["REP012"])
         assert result.findings == []
+
+
+class TestRep012ScanCoverage:
+    """Staleness is judged only when the scan holds whole packages."""
+
+    CATALOG = (
+        '[sources]\nparameters = ["who"]\n'
+        '[sanitizers]\nfunctions = ["scrub", "ghost"]\n'
+    )
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        # The catalog is found the way a real run finds taint.toml: in
+        # the working directory, with no explicit override.
+        (tmp_path / "taint.toml").write_text(self.CATALOG)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(CATALOG_ENV, raising=False)
+        package = tmp_path / "app"
+        (package / "sub").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "sub" / "__init__.py").write_text("")
+        (package / "clean.py").write_text(
+            "def scrub(value):\n    return len(value)\n"
+        )
+        (package / "sub" / "handler.py").write_text(
+            "def handle(who):\n    return who\n"
+        )
+        return package
+
+    def test_part_of_a_package_judges_no_declaration(self, package):
+        for scanned in (package / "sub", package / "sub" / "handler.py"):
+            result = lint_paths([str(scanned)], select=["REP012"])
+            assert result.findings == [], scanned
+
+    def test_whole_package_reports_every_stale_declaration(self, package):
+        result = lint_paths([str(package)], select=["REP012"])
+        (finding,) = result.findings
+        assert "'ghost'" in finding.message
 
 
 # ---------------------------------------------------------------------------

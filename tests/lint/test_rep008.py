@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_text
+from repro.lint import lint_paths, lint_text
+from repro.lint.engine import load_modules
 
 
 def findings(source: str, path: str, select=None):
@@ -91,3 +92,35 @@ class TestRep008:
             return db.replay_units(after_lsn=0)  # reprolint: disable=REP008
         """
         assert findings(src, "repro/server/app.py", select=["REP008"]) == []
+
+
+class TestScanScope:
+    """A scan of part of a package scopes its files like the whole tree."""
+
+    SHIP = "def ship(db):\n    return list(db.replay_units(after_lsn=0))\n"
+
+    def _tree(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        for sub in ("cluster", "server"):
+            (package / sub).mkdir(parents=True)
+            (package / sub / "__init__.py").write_text("")
+            (package / sub / "ship.py").write_text(self.SHIP)
+        (package / "__init__.py").write_text("")
+        return package
+
+    def test_rel_path_keeps_the_package_path(self, tmp_path):
+        package = self._tree(tmp_path)
+        cluster = package / "cluster"
+        for scanned in (cluster, cluster / "ship.py", package, tmp_path / "src"):
+            modules, _ = load_modules([str(scanned)])
+            assert "repro/cluster/ship.py" in [m.rel_path for m in modules]
+
+    def test_subtree_scan_honours_the_cluster_exemption(self, tmp_path):
+        package = self._tree(tmp_path)
+        for scanned in (package / "cluster", package / "cluster" / "ship.py"):
+            result = lint_paths([str(scanned)], select=["REP008"])
+            assert result.findings == []
+        result = lint_paths([str(package / "server")], select=["REP008"])
+        assert [(f.path, f.rule) for f in result.findings] == [
+            ("repro/server/ship.py", "REP008")
+        ]

@@ -86,6 +86,29 @@ class TestEventLoopBasics:
     def test_stop_without_start(self, server):
         EventLoopServer(server.handle_bytes).stop()
 
+    def test_stop_without_start_closes_every_loop(self, server):
+        servers = [EventLoopServer(server.handle_bytes, loops=3) for _ in range(5)]
+        for evs in servers:
+            evs.stop()
+        for evs in servers:
+            assert evs._listener.fileno() == -1
+            for loop in evs._loops:
+                assert loop.selector.get_map() is None
+                assert loop._wake_r.fileno() == -1
+                assert loop._wake_w.fileno() == -1
+
+    def test_invalid_loop_count_binds_nothing(self, server):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ValueError) as refused:
+            EventLoopServer(server.handle_bytes, port=port, loops=0)
+        # The refused constructor's frame is still referenced from the
+        # traceback; had it bound a listener, the port would be taken.
+        assert refused.traceback
+        evs = EventLoopServer(server.handle_bytes, port=port)
+        evs.stop()
+
 
 class TestHandlerExceptionGuarantee:
     """An app-handler crash answers with an error frame, never a hang."""
