@@ -86,6 +86,15 @@ class TestLedger:
         ledger.credit("alice", 3.0, now=0)
         assert ledger.debit("alice", 1.5, now=0) == 2.5
 
+    def test_all_members(self, ledger):
+        ledger.enroll("bob", signup_ts=0)
+        assert set(ledger.all_members()) == {"alice", "bob"}
+
+    def test_signup_timestamp(self, db):
+        ledger = TrustLedger(db)
+        ledger.enroll("late", signup_ts=weeks(4))
+        assert ledger.signup_timestamp("late") == weeks(4)
+
     def test_cap_does_not_lower_existing_trust(self, db):
         """A user who earned trust keeps it even if the cap math would
         say less (e.g. after a policy change)."""
