@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import DuplicateKeyError, ServerError
 from ..storage import Column, ColumnType, Database, Schema
+from .text import require_xml_text
 
 COMMENTS_SCHEMA_NAME = "comments"
 REMARKS_SCHEMA_NAME = "remarks"
@@ -135,27 +136,41 @@ class CommentBoard:
         text = text.strip()
         if not text:
             raise ServerError("comment text cannot be empty")
+        require_xml_text("comment text", text)
         status = STATUS_PENDING if self.moderated else STATUS_APPROVED
-        comment_id = self._next_id
-        try:
-            self._comments.insert(
-                {
-                    "comment_id": comment_id,
-                    "username": username,
-                    "software_id": software_id,
-                    "text": text,
-                    "timestamp": now,
-                    "status": status,
-                    "positive_remarks": 0,
-                    "negative_remarks": 0,
-                }
-            )
-        except DuplicateKeyError:
-            raise ServerError(
-                f"user has already commented on {software_id!r}"
-            ) from None
-        self._next_id += 1
+        while True:
+            comment_id = self._next_id
+            try:
+                self._comments.insert(
+                    {
+                        "comment_id": comment_id,
+                        "username": username,
+                        "software_id": software_id,
+                        "text": text,
+                        "timestamp": now,
+                        "status": status,
+                        "positive_remarks": 0,
+                        "negative_remarks": 0,
+                    }
+                )
+                break
+            except DuplicateKeyError:
+                if self._has_commented(username, software_id):
+                    raise ServerError(
+                        f"user has already commented on {software_id!r}"
+                    ) from None
+                # The id is taken: rows arrived that this board did not
+                # write (recovery, a replicated apply, a racing writer).
+                # Re-seed from the table and try again.
+                self._next_id = 1 + max(self._comments.primary_keys())
+        self._next_id = max(self._next_id, comment_id + 1)
         return self.get_comment(comment_id)
+
+    def _has_commented(self, username: str, software_id: str) -> bool:
+        return any(
+            row["username"] == username
+            for row in self._comments.select(software_id=software_id)
+        )
 
     def get_comment(self, comment_id: int) -> Comment:
         return self._row_to_comment(self._comments.get(comment_id))

@@ -51,7 +51,6 @@ class ReputationEngine:
         scoring_mode: str = SCORING_BATCH,
         trust_model: str = TRUST_LINEAR,
         collusion: bool = False,
-        collusion_config=None,
     ):
         if scoring_mode not in (SCORING_BATCH, SCORING_STREAMING):
             raise ServerError(f"unknown scoring mode {scoring_mode!r}")
@@ -64,7 +63,6 @@ class ReputationEngine:
         self.trust = _TRUST_MODELS[trust_model](self.db, trust_policy)
         #: Collusion-pass state (None report until the first pass runs).
         self.collusion_enabled = collusion
-        self.collusion_config = collusion_config
         self.collusion_passes = 0
         self.last_collusion_report = None
         self.ratings = RatingBook(self.db)
@@ -274,9 +272,7 @@ class ReputationEngine:
         # Imported lazily: analysis sits above core in the layer order.
         from ..analysis.collusion import CollusionDetector, apply_penalties
 
-        detector = CollusionDetector(
-            self.ratings, self.comments, self.trust, self.collusion_config
-        )
+        detector = CollusionDetector(self.ratings, self.comments, self.trust)
         self.collusion_passes += 1
         report = detector.run(self.clock.now(), passes=self.collusion_passes)
         apply_penalties(self.trust, report, self.clock.now())
@@ -309,6 +305,7 @@ class ReputationEngine:
         if reload:
             self.aggregator.reset_cache()
             self.scorer.reload()
+            self.vendors.reload()
         if self.scorer.in_sync_with_votes():
             return
         if self._publish_immediately:

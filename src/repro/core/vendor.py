@@ -17,12 +17,15 @@ name is itself a PIS signal (Sec. 3.3) — surfaced here as
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import DuplicateKeyError, RowNotFoundError
+from ..errors import DuplicateKeyError
 from ..storage import Column, ColumnType, Database, Schema
-from .aggregation import Aggregator
+from ..storage.table import MutationEvent
+from .aggregation import Aggregator, ScoreUpdate
+from .text import require_xml_text
 
 SOFTWARE_SCHEMA_NAME = "software"
 
@@ -70,7 +73,11 @@ class VendorScore:
 
 
 class VendorBook:
-    """Software registry plus vendor-score derivation."""
+    """Software registry plus vendor-score derivation.
+
+    The book owns vendor freshness: :meth:`vendor_score` memoises under
+    :attr:`generations`, and the server's score cache keys on it too.
+    """
 
     def __init__(self, database: Database, aggregator: Aggregator):
         self._aggregator = aggregator
@@ -80,6 +87,42 @@ class VendorBook:
             self._software = database.create_table(software_schema())
         if not self._software.has_index("vendor"):
             self._software.create_index("vendor", kind="hash")
+        #: vendor -> generation stamp, moved by every publish of one of
+        #: its digests and every registry write naming it; absent (read
+        #: as 0) until then.  Stamps come from one counter, so a bump
+        #: always installs a value never seen before: two racing bumps
+        #: cannot leave a stamp a reader already holds.
+        self.generations: dict[str, int] = {}
+        self._stamps = itertools.count(1)
+        #: vendor -> (generation read before the walk, its result).
+        self._memo: dict[str, tuple] = {}
+        aggregator.add_listener(self._on_score_published)
+        self._software.add_observer(self._on_software_mutation)
+
+    # -- freshness ------------------------------------------------------------
+
+    def _bump(self, vendor: Optional[str]) -> None:
+        if vendor is not None:
+            self.generations[vendor] = next(self._stamps)
+
+    def _on_score_published(self, update: ScoreUpdate) -> None:
+        """A digest republished: its vendor's mean may have moved."""
+        row = self._software.get_or_none(update.software_id)
+        if row is not None:
+            self._bump(row["vendor"])
+
+    def _on_software_mutation(self, event: MutationEvent) -> None:
+        """A registry row naming a vendor moved (a registration, the
+        follower's replicated apply, a snapshot install, a rollback)."""
+        for row in (event.row, event.old_row):
+            if row is not None:
+                self._bump(row["vendor"])
+
+    def reload(self) -> None:
+        """Forget every memoised score: recovery or a follower's
+        snapshot install replaced the score state underneath the book.
+        Generations are kept, so a stamp never repeats."""
+        self._memo.clear()
 
     # -- registry -----------------------------------------------------------
 
@@ -96,6 +139,13 @@ class VendorBook:
         existing = self._software.get_or_none(software_id)
         if existing is not None:
             return self._row_to_record(existing)
+        for what, value in (
+            ("software id", software_id),
+            ("file name", file_name),
+            ("vendor", vendor),
+            ("version", version),
+        ):
+            require_xml_text(what, value)
         try:
             self._software.insert(
                 {
@@ -151,23 +201,39 @@ class VendorBook:
 
         ``None`` if the vendor is unknown or none of their software has a
         published score yet.
+
+        Memoised per vendor under its generation, read *before* the
+        walk: an entry is served only while that generation is still
+        current, so a publish or registration racing the walk leaves
+        the entry stale, never wrongly fresh.  A hit returns the same
+        object; a miss recomputes with the same loop in the same order,
+        so the mean is exactly the fresh walk's.  :meth:`reload` drops
+        every entry.
         """
-        records = self.software_of_vendor(vendor)
-        if not records:
+        generation = self.generations.get(vendor, 0)
+        memo = self._memo.get(vendor)
+        if memo is not None and memo[0] == generation:
+            return memo[1]
+        rows = self._software.select(vendor=vendor)
+        if not rows:
             return None
         scores = []
-        for record in records:
-            published = self._aggregator.score_of(record.software_id)
+        for row in rows:
+            published = self._aggregator.score_of(row["software_id"])
             if published is not None:
                 scores.append(published.score)
-        if not scores:
-            return None
-        return VendorScore(
-            vendor=vendor,
-            score=sum(scores) / len(scores),
-            software_count=len(records),
-            rated_software_count=len(scores),
-        )
+        score = None
+        if scores:
+            score = VendorScore(
+                vendor=vendor,
+                score=sum(scores) / len(scores),
+                software_count=len(rows),
+                rated_software_count=len(scores),
+            )
+        # Only registered vendors are memoised, so the memo is bounded
+        # by the registry, not by the names readers ask about.
+        self._memo[vendor] = (generation, score)
+        return score
 
     def all_vendors(self) -> list:
         """Distinct vendor names in the registry (excluding missing)."""

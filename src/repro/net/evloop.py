@@ -459,10 +459,16 @@ class EventLoopServer:
         if count < 1:
             raise ValueError("need at least one event loop")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(backlog)
-        self._listener.setblocking(False)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(backlog)
+            self._listener.setblocking(False)
+        except BaseException:
+            # A refused bind (address in use) must not leave the socket
+            # to the garbage collector.
+            self._listener.close()
+            raise
         self._loops = [_Loop(self, index) for index in range(count)]
         self._placement = itertools.count()
         # Loop 0 is the acceptor; connections are spread round-robin.

@@ -7,10 +7,23 @@ explicitly in the XML so round-trips are exact (``int`` stays ``int``,
 ``bytes`` travel as hex), e.g.::
 
     <message tag="vote-request">
-      <field name="session" type="str">abc</field>
-      <field name="software_id" type="str">60ab...</field>
-      <field name="score" type="int">7</field>
+      <field type="str" name="session">abc</field>
+      <field type="str" name="software_id">60ab...</field>
+      <field type="int" name="score">7</field>
     </message>
+
+(on the wire without the indentation).
+
+Encoding is a direct writer: one pass appends string pieces and joins
+them once, and a nested message is written inline inside its field.
+The bytes are those ElementTree's serialiser produces for the same
+element tree: text escapes ``&``, ``<`` and ``>`` only, an element
+with no content takes the short ``<field ... />`` form (``None``, the
+empty string, empty bytes, an empty list), and attributes come in the
+order ``type`` then ``name``.  Attribute values are registry tags and
+field names, never user data, so they are written unescaped.  The
+writer does not check that text is XML-carriable: the server refuses
+such strings where they are written (see :mod:`repro.core.text`).
 
 Decoding is defensive: unknown tags, missing fields, bad type labels, and
 malformed XML raise :class:`~repro.errors.MalformedMessageError` or
@@ -43,62 +56,79 @@ from .registry import (  # noqa: F401
 
 def encode(msg: Any) -> bytes:
     """Serialise a registered message to XML bytes."""
+    out: list = []
+    _write_message(out, msg)
+    # Lone surrogates (the only code points UTF-8 cannot encode) become
+    # character references, as ElementTree's serialiser writes them.
+    return "".join(out).encode("utf-8", "xmlcharrefreplace")
+
+
+def _write_message(out: list, msg: Any) -> None:
     cls = type(msg)
     tag = tag_for(cls)
     if tag is None:
         raise ProtocolError(f"{cls.__name__} is not a registered message")
-    root = ElementTree.Element("message", {"tag": tag})
-    for field in dataclasses.fields(msg):
+    fields = dataclasses.fields(msg)
+    if not fields:
+        out.append(f'<message tag="{tag}" />')
+        return
+    out.append(f'<message tag="{tag}">')
+    for field in fields:
         value = getattr(msg, field.name)
-        element = _encode_value(value)
-        element.set("name", field.name)
-        root.append(element)
-    return ElementTree.tostring(root, encoding="utf-8")
+        _write_value(out, "field", f' name="{field.name}"', value)
+    out.append("</message>")
 
 
-def _encode_value(value: Any) -> ElementTree.Element:
-    """Build a ``field``/``item`` element for one value."""
-    element = ElementTree.Element("field")
+def _write_value(out: list, element: str, name: str, value: Any) -> None:
+    """Append one ``field``/``item`` element; *name* is its name attribute
+    (empty for list items)."""
     if value is None:
-        element.set("type", "none")
-    elif isinstance(value, bool):  # before int: bool is an int subclass
-        element.set("type", "bool")
-        element.text = "true" if value else "false"
+        out.append(f'<{element} type="none"{name} />')
+        return
+    if isinstance(value, bool):  # before int: bool is an int subclass
+        kind, text = "bool", "true" if value else "false"
     elif isinstance(value, int):
-        element.set("type", "int")
-        element.text = str(value)
+        kind, text = "int", str(value)
     elif isinstance(value, float):
-        element.set("type", "float")
-        element.text = repr(value)
+        kind, text = "float", repr(value)
     elif isinstance(value, str):
-        element.set("type", "str")
-        element.text = value
+        kind, text = "str", _escape_text(value)
     elif isinstance(value, (bytes, bytearray)):
-        element.set("type", "bytes")
-        element.text = bytes(value).hex()
+        kind, text = "bytes", bytes(value).hex()
     elif isinstance(value, (list, tuple)):
-        element.set("type", "list")
+        if not value:
+            out.append(f'<{element} type="list"{name} />')
+            return
+        out.append(f'<{element} type="list"{name}>')
         for item in value:
-            child = _encode_item(item)
-            element.append(child)
+            _write_value(out, "item", "", item)
+        out.append(f"</{element}>")
+        return
     elif tag_for(type(value)) is not None:
-        element.set("type", "message")
-        element.append(_nested_element(value))
+        out.append(f'<{element} type="message"{name}>')
+        _write_message(out, value)
+        out.append(f"</{element}>")
+        return
     else:
         raise ProtocolError(
             f"cannot encode value of type {type(value).__name__}: {value!r}"
         )
-    return element
+    if text:
+        out.append(f'<{element} type="{kind}"{name}>{text}</{element}>')
+    else:
+        out.append(f'<{element} type="{kind}"{name} />')
 
 
-def _encode_item(item: Any) -> ElementTree.Element:
-    element = _encode_value(item)
-    element.tag = "item"
-    return element
-
-
-def _nested_element(msg: Any) -> ElementTree.Element:
-    return ElementTree.fromstring(encode(msg))
+def _escape_text(text: str) -> str:
+    """Escape character data exactly as ElementTree does: ``&``, ``<``
+    and ``>``, nothing else."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
 
 
 # ---------------------------------------------------------------------------

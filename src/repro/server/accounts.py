@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..clock import SimClock
 from ..core.bootstrap import is_bootstrap_user
+from ..core.text import require_xml_text
 from ..crypto.secrets import SecretPepper, hash_email, hash_password, verify_password
 from ..errors import (
     AccountNotActiveError,
@@ -290,6 +291,7 @@ def _validate_username(username: str) -> str:
     # vote keys, per-user metrics labels) trivially parseable.
     if ":" in username:
         raise RegistrationError("username may not contain ':'")
+    require_xml_text("username", username, RegistrationError)
     return username
 
 

@@ -22,7 +22,6 @@ import random
 from typing import Optional
 
 from ..clock import SimClock
-from ..core.aggregation import ScoreUpdate
 from ..core.reputation import (
     SCORING_BATCH,
     SCORING_STREAMING,
@@ -232,8 +231,10 @@ class ReputationServer:
         #: Read-through cache of assembled software-info responses,
         #: keyed by the per-digest score version and the vendor's
         #: generation (size 0 disables it).
-        self.score_cache = ScoreResponseCache(max_entries=score_cache_size)
-        self.engine.add_score_listener(self._on_score_published)
+        self.score_cache = ScoreResponseCache(
+            max_entries=score_cache_size,
+            vendor_generations=self.engine.vendors.generations,
+        )
         #: Server-push subscriptions: every committed score publication
         #: fans out to matching connections (Sec. 4.2 as live protocol).
         self.subscriptions = SubscriptionRegistry()
@@ -450,18 +451,11 @@ class ReputationServer:
             # Unknown software is not cached: its first query registers
             # it, so the not-found answer is already stale.
             return SoftwareInfoResponse(software_id=software_id, known=False)
-        vendor_generation = self.score_cache.vendor_generation(record.vendor)
+        vendors = self.engine.vendors
+        vendor_generation = vendors.generations.get(record.vendor, 0)
         info = self._build_software_info(record, version)
         self.score_cache.put(software_id, version, info, vendor_generation)
         return info
-
-    def _on_score_published(self, update: ScoreUpdate) -> None:
-        """A publish moves its vendor's score: age the siblings' entries."""
-        if not self.score_cache.enabled:
-            return
-        record = self.engine.vendors.get_or_none(update.software_id)
-        if record is not None and record.vendor is not None:
-            self.score_cache.vendor_published(record.vendor)
 
     def _build_software_info(
         self, record: SoftwareRecord, version: int

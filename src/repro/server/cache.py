@@ -6,9 +6,12 @@ vendor-score derivation (which walks every executable of the vendor),
 and the trust-ranked comment list.  A digest's assembled response stays
 valid exactly until its published score or its vendor's score moves.
 The first is signalled by the **per-digest score version** stamped on
-every publish, so entries are keyed individually; the second by a
-**per-vendor generation** the server bumps whenever any digest of that
-vendor publishes (the vendor score is the mean over its digests).
+every publish, so entries are keyed individually; the second by the
+**per-vendor generation** that :class:`~repro.core.vendor.VendorBook`
+owns and moves whenever any digest of that vendor publishes or a
+registry row naming it changes (the vendor score is the mean over its
+digests).  The cache only reads that generation — one dict lookup on
+the hit path — and keeps no vendor state of its own.
 
 Invalidation is three-tier:
 
@@ -17,8 +20,9 @@ Invalidation is three-tier:
   that entry, lazily;
 * **vendor change** — an entry built before its vendor's generation
   last moved is dropped on the next lookup, lazily: a sibling digest
-  republished, so the cached ``vendor_score`` is stale.  An O(1) check
-  per lookup; publishing never walks the vendor's digests;
+  republished or a sibling registered, so the cached ``vendor_score``
+  is stale.  An O(1) check per lookup; publishing never walks the
+  vendor's digests;
 * **explicit** — a new comment or remark changes the response body
   without moving the score, so the handler invalidates that digest's
   entry outright.  This drops the *whole* entry — the assembled
@@ -35,7 +39,7 @@ instrumentation layer reports read-path effectiveness.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..protocol import SoftwareInfoResponse
 from ..storage.locks import create_lock
@@ -77,12 +81,20 @@ class ScoreResponseCache:
     and drops it.  A publish touches only the digest it changed and its
     vendor's siblings — the rest of the cache stays warm.
 
+    *vendor_generations* is the live vendor → generation mapping of the
+    engine's :class:`~repro.core.vendor.VendorBook` (a vendor absent
+    from it reads as generation 0); the cache never writes it.
+
     A ``max_entries`` of 0 disables the cache entirely (every ``get``
     misses, ``put`` is a no-op) — used by benchmarks to measure the
     uncached path through the same code.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+    def __init__(
+        self,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        vendor_generations: Optional[Mapping[str, int]] = None,
+    ):
         if max_entries < 0:
             raise ValueError("max_entries cannot be negative")
         self.max_entries = max_entries
@@ -95,8 +107,9 @@ class ScoreResponseCache:
         #: Entries dropped because a lookup presented a different score
         #: version, or the vendor's generation moved (lazy invalidation).
         self.version_evictions = 0
-        #: vendor name -> publications of any digest of that vendor.
-        self._vendor_generations: dict[str, int] = {}
+        self._vendor_generations = (
+            {} if vendor_generations is None else vendor_generations
+        )
 
     @property
     def enabled(self) -> bool:
@@ -138,10 +151,10 @@ class ScoreResponseCache:
     ) -> None:
         """Cache one assembled response under the digest's score version.
 
-        *vendor_generation* is :meth:`vendor_generation` of the
-        response's vendor, read **before** the response was assembled,
-        so a sibling publish racing the assembly leaves the entry stale
-        rather than wrongly fresh.
+        *vendor_generation* is the response's vendor's generation, read
+        **before** the response was assembled, so a sibling publish
+        racing the assembly leaves the entry stale rather than wrongly
+        fresh.
         """
         if not self.enabled:
             return
@@ -153,21 +166,6 @@ class ScoreResponseCache:
                 self.evictions += 1
             self._entries[software_id] = _CachedResponse(
                 info, version, vendor_generation
-            )
-
-    def vendor_generation(self, vendor: Optional[str]) -> int:
-        """How many publications *vendor*'s digests have seen (0 for none)."""
-        if vendor is None:
-            return 0
-        with self._lock:
-            return self._vendor_generations.get(vendor, 0)
-
-    def vendor_published(self, vendor: str) -> None:
-        """A digest of *vendor* republished: its vendor score may have
-        moved, so every cached sibling answer is stale from now on."""
-        with self._lock:
-            self._vendor_generations[vendor] = (
-                self._vendor_generations.get(vendor, 0) + 1
             )
 
     def wire_for(

@@ -440,7 +440,8 @@ class Database:
         """Write a full snapshot durably, then drop the WAL it covers.
 
         The exclusive lock is held only for the consistent-cut instant
-        (WAL rotation + in-memory row copies); the snapshot streams to
+        (WAL rotation + a list of the stored rows, which writes replace
+        rather than change, so nothing is copied); the snapshot streams to
         disk — tmp file → fsync → ``os.replace`` → directory fsync —
         while readers and writers proceed.  Only after the snapshot is
         durable are the covered WAL segments deleted, so a crash at
@@ -458,7 +459,8 @@ class Database:
                     )
                 cut_lsn = self._wal.rotate()
                 tables = {
-                    name: table.all() for name, table in self._tables.items()
+                    name: table.stored_rows()
+                    for name, table in self._tables.items()
                 }
                 self._commits_since_checkpoint = 0
             # Everything below happens outside the engine lock.

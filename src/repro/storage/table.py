@@ -220,6 +220,16 @@ class Table:
         with self._lock.read_locked():
             return [dict(row) for row in self._rows.values()]
 
+    def stored_rows(self) -> list:
+        """The stored rows themselves, in insertion order; no copies.
+
+        A write replaces a row's dict and never changes one in place,
+        so a list taken under the lock stays a consistent cut while
+        later writes proceed.  Callers must not modify the rows.
+        """
+        with self._lock.read_locked():
+            return list(self._rows.values())
+
     def _candidate_pks(self, equals: dict) -> Iterator[Any]:
         """Pick the cheapest access path for an equality filter set."""
         best = None

@@ -146,6 +146,41 @@ class TestEndToEnd:
         for client in (author, *graders):
             client.close()
 
+    def test_replicated_registration_moves_follower_vendor_score(self, pair):
+        """The follower's memoised vendor score follows replicated
+        registrations and votes, bit for bit with the leader's."""
+        leader, follower, topology = pair
+        client = _client(topology)
+
+        def lookup(digest):
+            return client.lookup(
+                QuerySoftwareItem(
+                    software_id=digest,
+                    file_name="tool.exe",
+                    file_size=1,
+                    vendor="V",
+                )
+            )
+
+        def scores():
+            assert _wait(lambda: _caught_up(leader, follower))
+            ours = follower.engine.vendors.vendor_score("V")
+            theirs = leader.engine.vendors.vendor_score("V")
+            assert ours == theirs
+            assert ours.score.hex() == theirs.score.hex()
+            return ours
+
+        lookup("01" * 20)
+        lookup("02" * 20)
+        client.vote("01" * 20, 3)
+        first = scores()
+        assert (first.software_count, first.rated_software_count) == (2, 1)
+        lookup("03" * 20)  # a registration only: no publish
+        assert scores().software_count == 3
+        client.vote("02" * 20, 8)
+        assert scores().score == 5.5
+        client.close()
+
     def test_follower_refuses_writes_with_not_leader(self, pair):
         leader, follower, topology = pair
         client = _client(topology)
@@ -249,7 +284,7 @@ class TestSnapshotBootstrap:
         client.register("alice", "password1", "alice@example.com")
         client.login("alice", "password1")
         item = QuerySoftwareItem(
-            software_id=DIGEST, file_name="evil.exe", file_size=1
+            software_id=DIGEST, file_name="evil.exe", file_size=1, vendor="V"
         )
         client.lookup(item)
         client.vote(DIGEST, 9)
@@ -287,6 +322,9 @@ class TestSnapshotBootstrap:
             reader.login("alice", "password1")
             info = reader.lookup(item)
             assert info.known and info.score == 9.0
+            vendor = follower.engine.vendors.vendor_score("V")
+            assert vendor == leader.engine.vendors.vendor_score("V")
+            assert vendor.score.hex() == (9.0).hex()
             assert reader.follower_reads > 0
             reader.close()
             # ...and the stream continues past the snapshot.

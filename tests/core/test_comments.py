@@ -34,6 +34,21 @@ class TestComments:
         with pytest.raises(ServerError):
             board.add_comment("alice", "sid1", "   ", now=0)
 
+    def test_ids_continue_past_rows_written_elsewhere(self, db):
+        """Rows this board did not write (recovery, replication) take
+        their ids; the next comment gets the table's max + 1."""
+        board, other = CommentBoard(db), CommentBoard(db)
+        board.add_comment("alice", "sid1", "x", now=0)
+        board.add_comment("alice", "sid2", "x", now=0)
+        assert other.add_comment("bob", "sid1", "y", now=0).comment_id == 3
+        assert other.add_comment("bob", "sid2", "y", now=0).comment_id == 4
+
+    def test_text_xml_cannot_carry_rejected(self, board):
+        with pytest.raises(ServerError, match="XML cannot carry"):
+            board.add_comment("alice", "sid1", "nice\x01tool", now=0)
+        assert board.total_comments() == 0
+        assert board.add_comment("alice", "sid1", "a\tb", now=0).text == "a\tb"
+
     def test_one_comment_per_user_per_software(self, board):
         board.add_comment("alice", "sid1", "x", now=0)
         with pytest.raises(ServerError, match="already commented"):

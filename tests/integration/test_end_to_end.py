@@ -266,6 +266,27 @@ class TestServerOwnedDatabase:
         assert (cached.score, cached.vote_count) == (after.score, 4)
         server2.close()
 
+    def test_reopened_server_accepts_new_comments(self, tmp_path, clock):
+        """Comment ids continue from the recovered table: a reopened
+        server must not hand out an id that is already taken."""
+        from repro.errors import ServerError
+
+        server = self._restart(tmp_path, clock)
+        for name in ("alice", "bob"):
+            server.engine.enroll_user(name)
+        server.engine.add_comment("alice", "sid1", "shows ads")
+        server.engine.add_comment("alice", "sid2", "phones home")
+        server.engine.add_comment("bob", "sid1", "fine for me")
+        server.close()
+        server2 = self._restart(tmp_path, clock)
+        comment = server2.engine.add_comment("bob", "sid2", "installs a toolbar")
+        assert comment.comment_id == 4
+        assert server2.engine.add_comment("bob", "sid3", "ok").comment_id == 5
+        # A real (user, software) clash is still refused as one.
+        with pytest.raises(ServerError, match="already commented"):
+            server2.engine.add_comment("alice", "sid1", "again")
+        server2.close()
+
     def test_fsync_durability_knob(self, tmp_path, clock):
         server = self._restart(tmp_path, clock, durability="fsync")
         server.engine.enroll_user("alice")

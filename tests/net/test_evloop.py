@@ -109,6 +109,23 @@ class TestEventLoopBasics:
         evs = EventLoopServer(server.handle_bytes, port=port)
         evs.stop()
 
+    def test_refused_bind_closes_the_listener(self, server):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError) as refused:
+                EventLoopServer(server.handle_bytes, port=port)
+            listener = next(
+                entry.locals["self"]._listener
+                for entry in refused.traceback
+                if entry.name == "__init__"
+            )
+            assert listener.fileno() == -1
+        # Once the taken socket is released, the port binds again.
+        evs = EventLoopServer(server.handle_bytes, port=port)
+        evs.stop()
+
 
 class TestHandlerExceptionGuarantee:
     """An app-handler crash answers with an error frame, never a hang."""

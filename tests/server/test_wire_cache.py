@@ -41,7 +41,7 @@ class TestPerCodecWire:
     def test_encodings_live_side_by_side(self):
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation(None))
+        cache.put(SOFTWARE_ID, 1, info, 0)
         cached = cache.get(SOFTWARE_ID, 1)
         assert cached is info
 
@@ -54,7 +54,7 @@ class TestPerCodecWire:
     def test_wire_is_dropped_with_its_entry(self):
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation(None))
+        cache.put(SOFTWARE_ID, 1, info, 0)
         cache.attach_wire(SOFTWARE_ID, info, "xml", b"<xml/>")
         cache.invalidate(SOFTWARE_ID)
         assert cache.wire_for(SOFTWARE_ID, info, "xml") is None
@@ -64,9 +64,9 @@ class TestPerCodecWire:
         not resurrect stale bytes."""
         cache = ScoreResponseCache()
         old, new = _info(), _info()
-        cache.put(SOFTWARE_ID, 1, old, cache.vendor_generation(None))
+        cache.put(SOFTWARE_ID, 1, old, 0)
         # Replaces the entry object.
-        cache.put(SOFTWARE_ID, 1, new, cache.vendor_generation(None))
+        cache.put(SOFTWARE_ID, 1, new, 0)
         cache.attach_wire(SOFTWARE_ID, old, "xml", b"<stale/>")
         assert cache.wire_for(SOFTWARE_ID, new, "xml") is None
 
@@ -76,7 +76,7 @@ class TestPerCodecWire:
         *down*) drops the stale entry and every wire encoding with it."""
         cache = ScoreResponseCache()
         info = _info()
-        cache.put(SOFTWARE_ID, 3, info, cache.vendor_generation(None))
+        cache.put(SOFTWARE_ID, 3, info, 0)
         cache.attach_wire(SOFTWARE_ID, info, "xml", b"<xml/>")
         cache.attach_wire(SOFTWARE_ID, info, "binary", b"\x00bin")
         assert cache.get(SOFTWARE_ID, 4) is None
@@ -89,30 +89,59 @@ class TestVendorGeneration:
     def test_sibling_publish_evicts_lazily(self):
         """An entry built before its vendor's generation moved carries a
         stale ``vendor_score``; its own version is unchanged."""
-        cache = ScoreResponseCache()
+        generations = {}
+        cache = ScoreResponseCache(vendor_generations=generations)
         info = dataclasses.replace(_info(), vendor="V")
-        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation("V"))
+        cache.put(SOFTWARE_ID, 1, info, generations.get("V", 0))
         assert cache.get(SOFTWARE_ID, 1) is info
-        cache.vendor_published("V")
+        generations["V"] = 1
         assert cache.get(SOFTWARE_ID, 1) is None
         assert cache.version_evictions == 1
         # Rebuilt after the move: fresh until the vendor moves again.
-        cache.put(SOFTWARE_ID, 1, info, cache.vendor_generation("V"))
-        cache.vendor_published("other vendor")
+        cache.put(SOFTWARE_ID, 1, info, generations.get("V", 0))
+        generations["other vendor"] = 2
         assert cache.get(SOFTWARE_ID, 1) is info
 
+    def test_publish_reads_the_registry_once(self):
+        """A publish moves its vendor's generation with one digest ->
+        vendor read; the vote path must not pay for a second one."""
+        server = ReputationServer(clock=SimClock(), scoring_mode="streaming")
+        engine = server.engine
+        engine.enroll_user("u")
+        engine.register_software(SOFTWARE_ID, "p.exe", 1, vendor="V")
+        registry = engine.vendors._software
+        reads = []
+        original = registry.get_or_none
+
+        def counting(pk):
+            reads.append(pk)
+            return original(pk)
+
+        registry.get_or_none = counting
+        before = engine.vendors.generations.get("V", 0)
+        engine.cast_vote("u", SOFTWARE_ID, 7)
+        assert engine.vendors.generations["V"] != before
+        assert reads == [SOFTWARE_ID]
+
     def test_concurrent_publishes_lose_no_generation(self):
-        cache = ScoreResponseCache()
+        """Racing bumps never leave a vendor at a generation read before
+        any of them: every bump installs a stamp not seen before."""
+        book = ReputationServer(clock=SimClock()).engine.vendors
         threads_n, bumps = 8, 500
+        stale = []
+
+        def bump_and_check():
+            for _ in range(bumps):
+                before = book.generations.get("V", 0)
+                book._bump("V")
+                if book.generations.get("V", 0) == before:
+                    stale.append(before)
+
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(
-                    target=lambda: [
-                        cache.vendor_published("V") for _ in range(bumps)
-                    ]
-                )
+                threading.Thread(target=bump_and_check)
                 for _ in range(threads_n)
             ]
             for thread in threads:
@@ -122,7 +151,8 @@ class TestVendorGeneration:
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
-        assert cache.vendor_generation("V") == threads_n * bumps
+        assert stale == []
+        assert next(book._stamps) == threads_n * bumps + 1
 
 
 class TestNegotiatedServing:

@@ -136,6 +136,18 @@ class TestGetSelect:
         rows[0]["age"] = 99
         assert people.get(rows[0]["name"])["age"] != 99
 
+    def test_stored_rows_stay_a_consistent_cut(self, people):
+        """Writes replace row dicts, never change them, so the checkpoint
+        can take the stored rows without copying them."""
+        cut = people.stored_rows()
+        before = [dict(row) for row in cut]
+        name = cut[0]["name"]
+        people.update(name, {"age": 99})
+        people.delete(cut[1]["name"])
+        people.insert({"name": "erin", "age": 5, "email": None, "active": True})
+        assert cut == before
+        assert people.get(name)["age"] == 99
+
     def test_contains(self, people):
         assert "alice" in people
         assert "nobody" not in people
