@@ -3,8 +3,8 @@
 Measures the cost of each transport layer around the same middleware
 chain (instrumentation → codec → errors → auth → ratelimit → handlers):
 calling ``handle_bytes`` directly versus paying the length-prefixed TCP
-framing and a real socket round-trip, single-threaded and with eight
-concurrent clients.
+framing and a real socket round-trip (XML, one request at a time per
+connection), single-threaded and with eight concurrent clients.
 """
 
 import os
@@ -16,8 +16,7 @@ from benchmarks.exhibits import record_exhibit, run_once
 from repro.analysis import render_table
 from repro.clock import SimClock
 from repro.core import ReputationEngine
-from repro.net import EventLoopServer
-from repro.net.tcp import TcpClient
+from repro.net import EventLoopServer, PipeliningClient
 from repro.protocol import QuerySoftwareRequest, VoteRequest, encode
 from repro.server import ReputationServer, VoteGate
 from repro.storage import Database
@@ -105,7 +104,7 @@ def run_pipeline_throughput() -> dict:
         host, port = tcp.address
         for workers in THREAD_COUNTS:
             def over_tcp(count):
-                with TcpClient(host, port) as client:
+                with PipeliningClient(host, port, codec="xml") as client:
                     for _ in range(count):
                         client.request(payload)
 
@@ -322,8 +321,7 @@ def _batch_message():
 
 
 def _open_wire_connections(address, count: int, codec: str) -> list:
-    """*count* persistent connections; binary ones negotiate via HELLO,
-    XML ones stay on the PR 1 legacy framing (no HELLO at all)."""
+    """*count* persistent connections, each negotiating *codec* via HELLO."""
     import socket as socket_module
 
     from repro.net.framing import make_hello, parse_hello, read_frame, write_frame
@@ -332,15 +330,14 @@ def _open_wire_connections(address, count: int, codec: str) -> list:
     for _ in range(count):
         sock = socket_module.create_connection(address, timeout=60)
         sock.settimeout(60)
-        if codec == "binary":
-            write_frame(sock, make_hello("binary"))
-            negotiated = parse_hello(read_frame(sock))
-            assert negotiated == "binary", negotiated
+        write_frame(sock, make_hello(codec))
+        negotiated = parse_hello(read_frame(sock))
+        assert negotiated == codec, negotiated
         connections.append(sock)
     return connections
 
 
-def _pump_slice(connections, payload: bytes, rounds: int, codec: str) -> None:
+def _pump_slice(connections, payload: bytes, rounds: int) -> None:
     """One driver's loop: each round puts one request in flight on every
     connection of the slice (so N connections → N concurrent requests
     server-side), then collects every reply."""
@@ -354,18 +351,14 @@ def _pump_slice(connections, payload: bytes, rounds: int, codec: str) -> None:
     correlation = 0
     for _ in range(rounds):
         for sock in connections:
-            if codec == "binary":
-                write_frame(
-                    sock, pack_correlated(correlation & 0xFFFFFFFF, payload)
-                )
-                correlation += 1
-            else:
-                write_frame(sock, payload)
+            write_frame(
+                sock, pack_correlated(correlation & 0xFFFFFFFF, payload)
+            )
+            correlation += 1
         for sock in connections:
             reply = read_frame(sock)
             assert reply is not None, "server dropped a connection mid-bench"
-            if codec == "binary":
-                unpack_correlated(reply)
+            unpack_correlated(reply)
 
 
 def run_connection_scaling() -> dict:
@@ -416,9 +409,9 @@ def run_connection_scaling() -> dict:
                     ]
                     barrier = threading.Barrier(drivers + 1)
 
-                    def pump(chunk, wire=payload, n=rounds, c=codec):
+                    def pump(chunk, wire=payload, n=rounds):
                         barrier.wait()
-                        _pump_slice(chunk, wire, n, c)
+                        _pump_slice(chunk, wire, n)
 
                     threads = [
                         threading.Thread(target=pump, args=(chunk,))

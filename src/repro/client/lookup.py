@@ -10,13 +10,11 @@ single batch frame.  The losers wake up to find their answer already
 delivered.  Under concurrency, N lookups cost far fewer than N round
 trips; sequential use degrades to exactly one item per batch.
 
-The transport is pluggable: by default a plain
-:class:`~repro.net.tcp.TcpClient` (lockstep XML, the PR 1 wire format),
-or any object with ``request(bytes) -> bytes`` — in particular a
+The transport is pluggable: by default a
 :class:`~repro.net.pipelining.PipeliningClient`, which lets *multiple
-leaders' batches* be in flight simultaneously on one connection and
-carries whatever codec the connection negotiated (the transport's
-``codec`` attribute, XML when absent).
+leaders' batches* be in flight simultaneously on one connection, or any
+object with ``request(bytes) -> bytes``, ``round_trips`` and a
+``codec`` attribute naming the codec its payloads are encoded in.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ import random
 from typing import Optional
 
 from ..errors import EndpointUnreachableError
-from ..net.tcp import TcpClient
+from ..net.pipelining import PipeliningClient
 from ..storage.locks import create_lock
-from ..protocol import DEFAULT_CODEC, decode_with, encode_with
+from ..protocol import decode_with, encode_with
 from .resilience import ResilientCaller, RetryPolicy
 
 
@@ -58,7 +56,7 @@ class CoalescingLookupClient:
         if transport is None:
             if host is None or port is None:
                 raise ValueError("need host and port when no transport is given")
-            transport = TcpClient(host, port, timeout=timeout)
+            transport = PipeliningClient(host, port, timeout=timeout)
         self._client = transport
         #: Retries a *failed* batch — always the same frozen batch; new
         #: waiters queue for the next leader (see _ship_batch).
@@ -93,9 +91,9 @@ class CoalescingLookupClient:
         A reconnecting transport (:class:`ResilientTransport`) may
         renegotiate after a server restart, so the codec is whatever
         the connection in use speaks — never a cached construction-time
-        value.  A plain TcpClient has no ``codec`` and pins XML.
+        value.
         """
-        return getattr(self._client, "codec", DEFAULT_CODEC)
+        return self._client.codec
 
     @property
     def round_trips(self) -> int:

@@ -9,10 +9,9 @@ request.  One real-socket server serves the same byte-level entry
 point: :mod:`~repro.net.evloop` (N selector loops multiplexing
 thousands of persistent connections), speaking the frame grammar, HELLO
 codec negotiation, and correlation-id pipelining of
-:mod:`~repro.net.framing`.  Two clients talk to it:
-:mod:`~repro.net.tcp` (lockstep, the legacy XML framing) and
-:mod:`~repro.net.pipelining` (many requests in flight on one
-connection).  :mod:`~repro.net.chaos` is the deterministic
+:mod:`~repro.net.framing`.  Its client is :mod:`~repro.net.pipelining`
+(many requests in flight on one connection, or one at a time in
+lockstep).  :mod:`~repro.net.chaos` is the deterministic
 fault-injection harness that sits in front of the real server (or the
 simulated network) and replays scripted failure schedules.
 """
@@ -31,7 +30,6 @@ from .framing import (
     unpack_correlated,
     write_frame,
 )
-from .tcp import TcpClient
 from .evloop import EventLoopServer
 from .pipelining import PendingReply, PipeliningClient
 
@@ -46,7 +44,6 @@ __all__ = [
     "Fault",
     "AnonymityNetwork",
     "Circuit",
-    "TcpClient",
     "EventLoopServer",
     "PipeliningClient",
     "PendingReply",

@@ -21,9 +21,7 @@ non-blocking sockets with
   are closed on a periodic sweep, so dead peers cannot pin memory.
 
 Negotiation, correlation ids, pipelining, and the handler-exception
-guarantee are the shared :class:`~repro.net.framing.ConnectionProtocol`;
-the legacy lockstep framing of :class:`~repro.net.tcp.TcpClient` keeps
-working unchanged.
+guarantee are the shared :class:`~repro.net.framing.ConnectionProtocol`.
 
 Application handlers run *inline* on the loop thread: the reputation
 pipeline's warm read path is microseconds (the version-keyed score
@@ -42,13 +40,7 @@ from typing import Callable, Optional
 
 from ..clock import monotonic_now
 from ..errors import FrameError
-from .framing import (
-    ConnectionProtocol,
-    FrameAssembler,
-    frame,
-    handler_accepts_codec,
-    handler_accepts_push,
-)
+from .framing import ConnectionProtocol, FrameAssembler, frame
 
 #: recv() chunk size: large enough to swallow a pipelined burst whole.
 RECV_SIZE = 64 * 1024
@@ -250,9 +242,7 @@ class _Loop:
             ConnectionProtocol(
                 peer_address=peer_address,
                 handler=self.server.app_handler,
-                codec_aware=self.server.codec_aware,
-                push_sender=send_push if self.server.push_aware else None,
-                push_aware=self.server.push_aware,
+                push_sender=send_push,
             ),
         )
         connection_cell.append(connection)
@@ -292,8 +282,9 @@ class _Loop:
                 for payload in connection.assembler.drain()
             ]
         except FrameError:
-            # Oversized length header, or a correlated frame too short
-            # for its id: the stream is unrecoverable.
+            # Oversized length header, a first frame that is not a
+            # HELLO, or a correlated frame too short for its id: the
+            # stream is unrecoverable.
             self._close(connection)
             return
         # One send for every reply to one read: a pipelined burst
@@ -420,8 +411,12 @@ class _Loop:
 
 
 class EventLoopServer:
-    """Serve a ``(peer_address, bytes) -> bytes`` handler on N event loops.
+    """Serve an application handler on N event loops.
 
+    The handler is called as ``handler(peer_address, body, codec=,
+    push=) -> bytes`` for every request after a connection's HELLO:
+    *codec* is the negotiated codec name and *push* the connection's
+    :class:`~repro.net.framing.PushChannel`.
     ``start``/``stop``/``address`` or a context manager; holds
     thousands of persistent connections on a handful of threads.  The
     handler sees the peer's host address (without the ephemeral port)
@@ -444,8 +439,6 @@ class EventLoopServer:
         backlog: int = 1024,
     ):
         self.app_handler = handler
-        self.codec_aware = handler_accepts_codec(handler)
-        self.push_aware = handler_accepts_push(handler)
         self.max_pending_out = max_pending_out
         self.idle_timeout = idle_timeout
         self.reap_interval = (

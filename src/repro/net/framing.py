@@ -1,21 +1,18 @@
-"""Wire framing shared by the TCP server and its clients.
+"""Wire framing shared by the TCP server and its client.
 
-The event-loop server (:mod:`repro.net.evloop`) and the clients
-(:mod:`repro.net.tcp`, :mod:`repro.net.pipelining`) speak the same
-frame grammar, so the frame layer lives here exactly once:
+The event-loop server (:mod:`repro.net.evloop`) and the client
+(:mod:`repro.net.pipelining`) speak one frame grammar, so the frame
+layer lives here exactly once:
 
-* **Legacy frames** — a 4-byte big-endian length followed by that many
-  payload bytes, responses in lockstep request order.  This is PR 1's
-  format, unchanged; a client that sends nothing else gets it forever.
+* **Frames** — a 4-byte big-endian length followed by that many
+  payload bytes.
 
-* **HELLO negotiation** — a client's *first* frame may instead carry a
-  magic prefix plus a codec name.  The server replies with its own HELLO
-  naming the accepted codec (unknown names degrade to XML) and the
-  connection switches to extended framing.  The magic byte ``0xAB``
-  cannot begin an XML document, so old payloads can never be mistaken
-  for a HELLO.
+* **HELLO negotiation** — a client's *first* frame must carry a magic
+  prefix plus a codec name.  The server replies with its own HELLO
+  naming the accepted codec (unknown names degrade to XML).  A
+  connection whose first frame is anything else is closed unanswered.
 
-* **Extended frames** — after HELLO, every frame payload starts with a
+* **Correlated frames** — after HELLO, every frame payload starts with a
   4-byte big-endian **correlation id**.  Responses echo the id of the
   request they answer, which is what lets a client *pipeline* many
   in-flight requests on one connection and match answers as they land.
@@ -37,7 +34,6 @@ loop that drives it.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import socket
 import struct
@@ -210,72 +206,31 @@ def event_subscription_id(correlation_id: int) -> int:
 
 
 def pack_correlated(correlation_id: int, body: bytes) -> bytes:
-    """An extended-mode frame payload: correlation id + message bytes."""
+    """A correlated frame payload: correlation id + message bytes."""
     return _CORRELATION.pack(correlation_id & 0xFFFFFFFF) + body
 
 
 def unpack_correlated(payload: bytes) -> tuple:
-    """Split an extended-mode payload into ``(correlation_id, body)``."""
+    """Split a correlated payload into ``(correlation_id, body)``."""
     if len(payload) < _CORRELATION.size:
         raise FrameError(
-            f"extended frame of {len(payload)} bytes cannot carry a"
+            f"correlated frame of {len(payload)} bytes cannot carry a"
             " correlation id"
         )
     (correlation_id,) = _CORRELATION.unpack_from(payload)
     return correlation_id, payload[_CORRELATION.size:]
 
 
-def handler_accepts_codec(handler: Callable) -> bool:
-    """Whether *handler* takes a ``codec`` keyword.
-
-    Transports probe once at construction: a codec-aware application
-    (the server pipeline) gets the negotiated name per request, while a
-    plain ``(peer_address, bytes) -> bytes`` callable keeps working and pins
-    its connections to XML.
-    """
-    try:
-        parameters = inspect.signature(handler).parameters
-    except (TypeError, ValueError):
-        return False
-    if "codec" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
-def handler_accepts_push(handler: Callable) -> bool:
-    """Whether *handler* takes a ``push`` keyword (a :class:`PushChannel`).
-
-    Probed once at construction, like :func:`handler_accepts_codec`: a
-    push-aware application (the server pipeline) receives the
-    connection's push channel per request so subscribe handlers can
-    register it; plain handlers never see it.
-    """
-    try:
-        parameters = inspect.signature(handler).parameters
-    except (TypeError, ValueError):
-        return False
-    if "push" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
 class PushChannel:
     """A transport-neutral handle for pushing event frames down one
     connection.
 
-    Wraps the connection's negotiated state (codec, extended mode) and
-    a transport-supplied ``send(frame_payload) -> bool`` callable that
-    must be safe to call from any thread (the subscription dispatcher
-    runs on its own).  ``send_event`` returns ``False`` when the frame
-    was not accepted — connection gone, legacy framing, or transport
-    backpressure — and the caller (the subscription registry) treats
-    that as delivery failure.
+    Wraps the connection's negotiated codec and a transport-supplied
+    ``send(frame_payload) -> bool`` callable that must be safe to call
+    from any thread (the subscription dispatcher runs on its own).
+    ``send_event`` returns ``False`` when the frame was not accepted —
+    connection gone or transport backpressure — and the caller (the
+    subscription registry) treats that as delivery failure.
     """
 
     __slots__ = ("peer_address", "_protocol", "_send")
@@ -289,16 +244,8 @@ class PushChannel:
     def codec(self) -> str:
         return self._protocol.codec
 
-    @property
-    def extended(self) -> bool:
-        return self._protocol.extended
-
     def send_event(self, subscription_id: int, body: bytes) -> bool:
         """Push one event body; True only if the transport accepted it."""
-        if not self._protocol.extended:
-            # Legacy framing has no correlation ids: an unsolicited
-            # frame would desynchronise the client's lockstep reader.
-            return False
         payload = pack_correlated(event_correlation_id(subscription_id), body)
         try:
             return bool(self._send(payload))
@@ -315,71 +262,44 @@ class ConnectionProtocol:
 
     One instance per connection.  ``respond(frame_payload)`` returns the
     response frame payload to send back; it raises
-    :class:`~repro.errors.FrameError` only for unrecoverable framing
-    (a correlated frame too short to carry its id), which the transport
-    answers by closing the connection.  An exception escaping the
-    application handler never kills the connection: it is logged and
+    :class:`~repro.errors.FrameError` for unrecoverable framing (a first
+    frame that is not a HELLO, or a correlated frame too short to carry
+    its id), which the transport answers by closing the connection.
+    Every later frame is handed to the application handler as
+    ``handler(peer_address, body, codec=, push=)``.  An exception
+    escaping the handler never kills the connection: it is logged and
     answered with an ``ErrorResponse`` encoded in the connection's
     negotiated codec.
     """
 
-    __slots__ = ("peer_address", "codec", "extended", "push", "_handler",
-                 "_codec_aware", "_push_aware", "_first")
+    __slots__ = ("peer_address", "codec", "push", "_handler")
 
-    def __init__(
-        self,
-        peer_address: str,
-        handler: Callable,
-        codec_aware: bool,
-        push_sender: Optional[Callable] = None,
-        push_aware: bool = False,
-    ):
-        # Local import: the frame layer stays standalone; resolved once
-        # here, not per request (respond() is the transports' hot path).
-        from ..protocol import DEFAULT_CODEC
-
+    def __init__(self, peer_address: str, handler: Callable, push_sender: Callable):
         self.peer_address = peer_address
-        self.codec = DEFAULT_CODEC
-        self.extended = False
+        #: The negotiated codec name; ``None`` until the HELLO arrives.
+        self.codec: Optional[str] = None
         self._handler = handler
-        self._codec_aware = codec_aware
-        self._push_aware = push_aware and push_sender is not None
-        self.push: Optional[PushChannel] = (
-            PushChannel(peer_address, self, push_sender)
-            if self._push_aware
-            else None
-        )
-        self._first = True
+        self.push = PushChannel(peer_address, self, push_sender)
 
     def respond(self, payload: bytes) -> bytes:
         """Service one inbound frame payload; return the reply payload."""
-        if self._first:
-            self._first = False
+        if self.codec is None:
             requested = parse_hello(payload)
-            if requested is not None:
-                from ..protocol import negotiate
+            if requested is None:
+                raise FrameError("first frame is not a HELLO")
+            # Local import: the frame layer stays standalone.
+            from ..protocol import negotiate
 
-                # Negotiate only what the application can actually
-                # decode: a codec-blind handler pins the wire to XML.
-                self.codec = negotiate(requested) if self._codec_aware else self.codec
-                self.extended = True
-                return make_hello(self.codec)
-        if self.extended:
-            correlation_id, body = unpack_correlated(payload)
-            return pack_correlated(correlation_id, self._invoke(body))
-        return self._invoke(payload)
+            self.codec = negotiate(requested)
+            return make_hello(self.codec)
+        correlation_id, body = unpack_correlated(payload)
+        return pack_correlated(correlation_id, self._invoke(body))
 
     def _invoke(self, body: bytes) -> bytes:
         try:
-            if self._codec_aware and self._push_aware:
-                return self._handler(
-                    self.peer_address, body, codec=self.codec, push=self.push
-                )
-            if self._codec_aware:
-                return self._handler(self.peer_address, body, codec=self.codec)
-            if self._push_aware:
-                return self._handler(self.peer_address, body, push=self.push)
-            return self._handler(self.peer_address, body)
+            return self._handler(
+                self.peer_address, body, codec=self.codec, push=self.push
+            )
         except Exception:
             from ..protocol import ErrorResponse, encode_with
 

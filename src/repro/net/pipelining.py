@@ -1,20 +1,18 @@
 """A pipelining, codec-negotiating client over one TCP connection.
 
-:class:`~repro.net.tcp.TcpClient` is lockstep: one request, one reply,
-one connection per concurrent caller.  :class:`PipeliningClient` instead
-negotiates extended framing with a HELLO (see
+:class:`PipeliningClient` opens with the HELLO the server requires (see
 :mod:`repro.net.framing`) and then keeps **many requests in flight on
 one connection**: each request carries a correlation id, a background
 reader thread matches responses to waiters as they land, and any number
 of threads may :meth:`submit` concurrently.  One connection saturates
-the pipe instead of paying a round-trip latency per request.
+the pipe instead of paying a round-trip latency per request; a caller
+that waits for each :meth:`request` in turn gets lockstep use.
 
 The HELLO also names the payload codec (binary by default — see
 :mod:`repro.protocol.binary_codec`); the server replies with what it
 accepted, and :attr:`codec` reports the negotiated name so callers
-encode accordingly.  A server too old to negotiate answers the HELLO
-frame as if it were a request — the client detects the missing HELLO
-reply and refuses, rather than desynchronising the stream.
+encode accordingly.  A peer that answers the HELLO with anything but a
+HELLO is refused, rather than desynchronising the stream.
 """
 
 from __future__ import annotations

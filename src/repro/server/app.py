@@ -303,15 +303,11 @@ class ReputationServer:
     ) -> bytes:
         """The network endpoint handler: encoded bytes in and out.
 
-        *codec* names the connection's negotiated wire format; without a
-        negotiation it defaults to XML, byte-identical to the original
-        wire.  Transports probe for this keyword
-        (:func:`repro.net.framing.handler_accepts_codec`) to decide
-        whether they may negotiate at all.
+        *codec* names the connection's negotiated wire format; the
+        simulated network passes none and gets XML.
 
         *push* is the connection's :class:`~repro.net.framing.PushChannel`
-        when the transport can deliver server-initiated frames; probed
-        the same way (:func:`~repro.net.framing.handler_accepts_push`).
+        when the transport can deliver server-initiated frames.
         Subscribe requests are refused when it is absent.
         """
         return self.pipeline.run(peer_address, payload, codec=codec, push=push)
@@ -531,12 +527,11 @@ class ReputationServer:
         """Open a push subscription on this connection.
 
         Requires a push-capable transport connection: the in-process
-        path and legacy-framed connections have nowhere to deliver
-        events, so they are refused outright rather than silently
-        registered and immediately dropped as dead.
+        path has nowhere to deliver events, so it is refused outright
+        rather than silently registered and immediately dropped as dead.
         """
         request = ctx.request
-        if ctx.push is None or not ctx.push.extended:
+        if ctx.push is None:
             raise MalformedMessageError(
                 "subscriptions need an extended-framing connection"
             )

@@ -95,9 +95,8 @@ class RequestContext:
     #: Set by the auth middleware for session-bearing requests.
     username: Optional[str] = None
     #: The connection's push channel (server-initiated event frames),
-    #: supplied by push-capable transports in extended framing mode.
-    #: ``None`` on legacy connections and in-process calls — subscribe
-    #: handlers must refuse in that case.
+    #: supplied by the TCP transport.  ``None`` on the simulated network
+    #: and in-process calls — subscribe handlers must refuse in that case.
     push: Optional[object] = None
     started: float = 0.0
     duration_ms: float = 0.0

@@ -2,7 +2,7 @@
 
 The paper sketches "subscription feeds" users could follow; PR 2–3
 built the machinery this module exploits: per-digest score versions
-from the streaming pipeline and an extended framing layer with a
+from the streaming pipeline and a correlated framing layer with a
 reserved correlation-id space for unsolicited frames.  A connection
 subscribes (digest prefix, or policy-threshold crossings) and the
 server pushes a :class:`~repro.protocol.ScoreUpdateEvent` frame the
@@ -232,7 +232,7 @@ class SubscriptionRegistry:
             if accepted:
                 subscription.delivered += 1
                 self.delivered += 1
-            elif subscription.channel.extended:
+            else:
                 # The transport refused (connection dead or its write
                 # queue over the cap).  A dead connection's subscription
                 # is garbage; a backpressured one would re-fail every
@@ -240,10 +240,6 @@ class SubscriptionRegistry:
                 # letting the client resubscribe (with a fresh query,
                 # which its resync path does anyway) is the bounded
                 # choice.
-                self._subscriptions.pop(subscription.subscription_id, None)
-                self.dropped_dead += 1
-            else:
-                # Legacy framing cannot carry events at all.
                 self._subscriptions.pop(subscription.subscription_id, None)
                 self.dropped_dead += 1
 

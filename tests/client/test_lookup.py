@@ -140,18 +140,6 @@ class TestTransportPlumbing:
         client = CoalescingLookupClient(transport=transport)
         assert client.codec == "binary"
 
-    def test_missing_codec_defaults_to_xml(self):
-        class Codecless:
-            round_trips = 0
-
-            def request(self, payload):
-                raise AssertionError("unused")
-
-            def close(self):
-                pass
-
-        assert CoalescingLookupClient(transport=Codecless()).codec == "xml"
-
     def test_transport_exception_fails_the_batch_not_the_process(self):
         class Broken:
             codec = "xml"

@@ -19,7 +19,6 @@ from repro.net import (
     Fault,
     Network,
     PipeliningClient,
-    TcpClient,
 )
 from repro.protocol import (
     PuzzleRequest,
@@ -89,11 +88,16 @@ def proxy_for(wire, schedule):
     return ChaosProxy(wire.address, schedule)
 
 
+def xml_client(host, port, timeout=10.0) -> PipeliningClient:
+    """A lockstep XML client; its HELLO is the first response frame."""
+    return PipeliningClient(host, port, codec="xml", timeout=timeout)
+
+
 class TestChaosProxy:
     def test_clean_schedule_is_transparent(self, wire):
         with proxy_for(wire, ChaosSchedule()) as proxy:
             host, port = proxy.address
-            with TcpClient(host, port) as client:
+            with xml_client(host, port) as client:
                 response = decode(client.request(encode(PuzzleRequest())))
         assert isinstance(response, PuzzleResponse)
         assert proxy.accepted == 1
@@ -103,15 +107,15 @@ class TestChaosProxy:
         with proxy_for(wire, schedule) as proxy:
             host, port = proxy.address
             with pytest.raises((NetworkError, OSError)):
-                with TcpClient(host, port, timeout=2.0) as client:
+                with xml_client(host, port, timeout=2.0) as client:
                     client.request(encode(PuzzleRequest()))
             assert proxy.refused == 1
 
     def test_corrupted_response_fails_decode_but_keeps_framing(self, wire):
-        schedule = ChaosSchedule.parse(response="corrupt")
+        schedule = ChaosSchedule.parse(response="ok,corrupt")  # HELLO, then corrupt
         with proxy_for(wire, schedule) as proxy:
             host, port = proxy.address
-            with TcpClient(host, port, timeout=2.0) as client:
+            with xml_client(host, port, timeout=2.0) as client:
                 raw = client.request(encode(PuzzleRequest()))
                 with pytest.raises(ProtocolError):
                     decode(raw)
@@ -121,26 +125,26 @@ class TestChaosProxy:
         assert isinstance(again, PuzzleResponse)
 
     def test_mid_frame_disconnect(self, wire):
-        schedule = ChaosSchedule.parse(response="disconnect:0.5")
+        schedule = ChaosSchedule.parse(response="ok,disconnect:0.5")
         with proxy_for(wire, schedule) as proxy:
             host, port = proxy.address
-            with TcpClient(host, port, timeout=2.0) as client:
+            with xml_client(host, port, timeout=2.0) as client:
                 with pytest.raises((FrameError, EndpointUnreachableError, OSError)):
                     client.request(encode(PuzzleRequest()))
 
     def test_torn_write_is_reassembled(self, wire):
-        schedule = ChaosSchedule.parse(response="torn:0.01:0.3")
+        schedule = ChaosSchedule.parse(response="ok,torn:0.01:0.3")
         with proxy_for(wire, schedule) as proxy:
             host, port = proxy.address
-            with TcpClient(host, port, timeout=2.0) as client:
+            with xml_client(host, port, timeout=2.0) as client:
                 response = decode(client.request(encode(PuzzleRequest())))
         assert isinstance(response, PuzzleResponse)
 
     def test_stalled_response_still_lands(self, wire):
-        schedule = ChaosSchedule.parse(response="stall:0.05")
+        schedule = ChaosSchedule.parse(response="ok,stall:0.05")
         with proxy_for(wire, schedule) as proxy:
             host, port = proxy.address
-            with TcpClient(host, port, timeout=2.0) as client:
+            with xml_client(host, port, timeout=2.0) as client:
                 response = decode(client.request(encode(PuzzleRequest())))
         assert isinstance(response, PuzzleResponse)
 

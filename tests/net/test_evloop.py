@@ -8,8 +8,14 @@ import time
 import pytest
 
 from repro.errors import EndpointUnreachableError
-from repro.net import EventLoopServer, PipeliningClient, TcpClient
-from repro.net.framing import read_frame, write_frame
+from repro.net import EventLoopServer, PipeliningClient
+from repro.net.framing import (
+    make_hello,
+    pack_correlated,
+    parse_hello,
+    read_frame,
+    write_frame,
+)
 from repro.protocol import (
     ErrorResponse,
     PuzzleRequest,
@@ -17,6 +23,11 @@ from repro.protocol import (
     decode,
     encode,
 )
+
+
+def _xml_client(host, port, timeout=10.0) -> PipeliningClient:
+    """A client driven in lockstep over the negotiated XML codec."""
+    return PipeliningClient(host, port, codec="xml", timeout=timeout)
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.01):
@@ -29,19 +40,19 @@ def _wait_until(predicate, timeout=5.0, interval=0.01):
 
 
 class TestEventLoopBasics:
-    """The PR 1 transport contract, verbatim, against the event loop."""
+    """The request/response contract of the event-loop transport."""
 
     def test_serves_handle_bytes(self, server):
         with EventLoopServer(server.handle_bytes) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 response = decode(client.request(encode(PuzzleRequest())))
         assert isinstance(response, PuzzleResponse)
 
     def test_multiple_requests_one_connection(self, server):
         with EventLoopServer(server.handle_bytes) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 for _ in range(5):
                     response = decode(client.request(encode(PuzzleRequest())))
                     assert isinstance(response, PuzzleResponse)
@@ -49,7 +60,7 @@ class TestEventLoopBasics:
     def test_garbage_bytes_get_error_response_not_disconnect(self, server):
         with EventLoopServer(server.handle_bytes) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 response = decode(client.request(b"<<<not xml"))
                 assert isinstance(response, ErrorResponse)
                 assert response.code == "bad-request"
@@ -59,13 +70,13 @@ class TestEventLoopBasics:
     def test_source_is_peer_host_without_port(self, server):
         seen = []
 
-        def spying(source, payload):
+        def spying(source, payload, codec, push):
             seen.append(source)
-            return server.handle_bytes(source, payload)
+            return server.handle_bytes(source, payload, codec, push)
 
         with EventLoopServer(spying) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 client.request(encode(PuzzleRequest()))
         assert seen == ["127.0.0.1"]
 
@@ -75,7 +86,7 @@ class TestEventLoopBasics:
         host, port = probe.getsockname()
         probe.close()
         with pytest.raises(EndpointUnreachableError):
-            TcpClient(host, port, timeout=0.5)
+            _xml_client(host, port, timeout=0.5)
 
     def test_stop_is_idempotent(self, server):
         evs = EventLoopServer(server.handle_bytes)
@@ -133,7 +144,7 @@ class TestHandlerExceptionGuarantee:
     def test_exception_becomes_error_response(self):
         calls = []
 
-        def exploding(source, payload):
+        def exploding(source, payload, codec, push):
             calls.append(payload)
             if payload == b"boom":
                 raise RuntimeError("handler bug")
@@ -141,7 +152,7 @@ class TestHandlerExceptionGuarantee:
 
         with EventLoopServer(exploding) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 response = decode(client.request(b"boom"))
                 assert isinstance(response, ErrorResponse)
                 assert response.code == "server-error"
@@ -154,7 +165,7 @@ class TestConnectionScale:
     def test_many_persistent_connections(self, server):
         with EventLoopServer(server.handle_bytes, loops=2) as evs:
             host, port = evs.address
-            clients = [TcpClient(host, port) for _ in range(64)]
+            clients = [_xml_client(host, port) for _ in range(64)]
             try:
                 assert _wait_until(lambda: evs.connection_count == 64)
                 payload = encode(PuzzleRequest())
@@ -171,7 +182,7 @@ class TestConnectionScale:
     def test_accept_balancing_across_loops(self, server):
         with EventLoopServer(server.handle_bytes, loops=3) as evs:
             host, port = evs.address
-            clients = [TcpClient(host, port) for _ in range(9)]
+            clients = [_xml_client(host, port) for _ in range(9)]
             try:
                 assert _wait_until(lambda: evs.connection_count == 9)
                 shares = sorted(
@@ -187,21 +198,22 @@ class TestIdleReaping:
     def test_idle_connections_are_reaped(self, server):
         with EventLoopServer(server.handle_bytes, idle_timeout=0.2) as evs:
             host, port = evs.address
-            client = TcpClient(host, port)
+            client = _xml_client(host, port)
             try:
                 # Activity first, then silence beyond the deadline.
                 client.request(encode(PuzzleRequest()))
                 assert _wait_until(lambda: evs.reaped >= 1, timeout=5.0)
                 assert evs.connection_count == 0
-                # The client sees a clean server-side close.
-                assert read_frame(client._sock) is None
+                # The client sees the server-side close.
+                with pytest.raises(EndpointUnreachableError):
+                    client.request(encode(PuzzleRequest()))
             finally:
                 client.close()
 
     def test_active_connections_survive_the_reaper(self, server):
         with EventLoopServer(server.handle_bytes, idle_timeout=0.4) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with _xml_client(host, port) as client:
                 for _ in range(6):
                     time.sleep(0.1)
                     response = decode(client.request(encode(PuzzleRequest())))
@@ -214,7 +226,7 @@ class TestBackpressure:
         """A peer that writes without reading cannot balloon the queue."""
         big = b"\x42" * (64 * 1024)
 
-        def echo(source, payload):
+        def echo(source, payload, codec, push):
             return big
 
         with EventLoopServer(echo, max_pending_out=64 * 1024) as evs:
@@ -227,9 +239,11 @@ class TestBackpressure:
             sock.settimeout(10)
             sock.connect((host, port))
             try:
+                write_frame(sock, make_hello("xml"))
+                assert parse_hello(read_frame(sock)) == "xml"
                 requests = 100
-                for _ in range(requests):
-                    write_frame(sock, b"ping")
+                for correlation_id in range(1, requests + 1):
+                    write_frame(sock, pack_correlated(correlation_id, b"ping"))
                 # Server must have parked read interest on this
                 # connection rather than buffering every response.
                 assert _wait_until(
@@ -241,8 +255,10 @@ class TestBackpressure:
                     timeout=5.0,
                 )
                 # Start draining: every response still arrives, in order.
-                for _ in range(requests):
-                    assert read_frame(sock) == big
+                for correlation_id in range(1, requests + 1):
+                    assert read_frame(sock) == pack_correlated(
+                        correlation_id, big
+                    )
             finally:
                 sock.close()
 
@@ -274,7 +290,7 @@ class TestPushDelivery:
         received = []
         refused = []
 
-        def handler(source, payload, push=None):
+        def handler(source, payload, codec, push):
             if payload == b"subscribe":
                 channels.append(push)
             return payload

@@ -2,7 +2,8 @@
 
 Torn frames, forged length headers, and peers that vanish or crawl
 mid-frame must neither wedge a loop nor desynchronise the
-:class:`~repro.net.framing.ConnectionProtocol` of the connection.
+:class:`~repro.net.framing.ConnectionProtocol` of the connection.  Every
+hostile case but the missing HELLO itself runs after a negotiated HELLO.
 """
 
 import socket
@@ -12,13 +13,15 @@ import time
 
 import pytest
 
-from repro.net import EventLoopServer, TcpClient
+from repro.net import EventLoopServer, PipeliningClient
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     frame,
     make_hello,
+    pack_correlated,
     parse_hello,
     read_frame,
+    unpack_correlated,
     write_frame,
 )
 from repro.protocol import (
@@ -36,9 +39,44 @@ def wire_server(server):
 
 
 def _connect(transport) -> socket.socket:
+    """A raw connection that has negotiated XML with a HELLO."""
     sock = socket.create_connection(transport.address, timeout=5)
     sock.settimeout(5)
+    write_frame(sock, make_hello("xml"))
+    assert parse_hello(read_frame(sock)) == "xml"
     return sock
+
+
+def _puzzle_wire(correlation_id: int = 1) -> bytes:
+    """One framed, correlated XML ``PuzzleRequest``."""
+    return frame(pack_correlated(correlation_id, encode(PuzzleRequest())))
+
+
+def _read_reply(sock: socket.socket, correlation_id: int = 1):
+    """Read one correlated reply and decode its body."""
+    answered, body = unpack_correlated(read_frame(sock))
+    assert answered == correlation_id
+    return decode(body)
+
+
+def _xml_client(transport) -> PipeliningClient:
+    return PipeliningClient(*transport.address, codec="xml")
+
+
+class TestHelloRequired:
+    def test_plain_first_frame_closes_without_reply(self, wire_server):
+        """A first frame that is not a HELLO gets no answer: the server
+        closes that connection and goes on serving the others."""
+        sock = socket.create_connection(wire_server.address, timeout=5)
+        sock.settimeout(5)
+        try:
+            write_frame(sock, encode(PuzzleRequest()))
+            assert read_frame(sock) is None
+            with _xml_client(wire_server) as client:
+                response = decode(client.request(encode(PuzzleRequest())))
+                assert isinstance(response, PuzzleResponse)
+        finally:
+            sock.close()
 
 
 class TestTornFrames:
@@ -46,12 +84,12 @@ class TestTornFrames:
         """A length header trickling in one byte at a time still frames."""
         sock = _connect(wire_server)
         try:
-            wire = frame(encode(PuzzleRequest()))
+            wire = _puzzle_wire()
             for offset in range(4):
                 sock.sendall(wire[offset : offset + 1])
                 time.sleep(0.02)
             sock.sendall(wire[4:])
-            response = decode(read_frame(sock))
+            response = _read_reply(sock)
             assert isinstance(response, PuzzleResponse)
         finally:
             sock.close()
@@ -59,12 +97,12 @@ class TestTornFrames:
     def test_payload_split_across_sends(self, wire_server):
         sock = _connect(wire_server)
         try:
-            wire = frame(encode(PuzzleRequest()))
+            wire = _puzzle_wire()
             middle = len(wire) // 2
             sock.sendall(wire[:middle])
             time.sleep(0.05)
             sock.sendall(wire[middle:])
-            assert isinstance(decode(read_frame(sock)), PuzzleResponse)
+            assert isinstance(_read_reply(sock), PuzzleResponse)
         finally:
             sock.close()
 
@@ -72,10 +110,10 @@ class TestTornFrames:
         """Coalesced frames (Nagle, batching) must both be answered."""
         sock = _connect(wire_server)
         try:
-            wire = frame(encode(PuzzleRequest()))
-            sock.sendall(wire + wire)
-            for _ in range(2):
-                assert isinstance(decode(read_frame(sock)), PuzzleResponse)
+            sock.sendall(_puzzle_wire(1) + _puzzle_wire(2))
+            for correlation_id in (1, 2):
+                response = _read_reply(sock, correlation_id)
+                assert isinstance(response, PuzzleResponse)
         finally:
             sock.close()
 
@@ -92,7 +130,7 @@ class TestForgedHeaders:
 
     def test_oversized_header_does_not_hurt_other_clients(self, wire_server):
         attacker = _connect(wire_server)
-        victim = TcpClient(*wire_server.address)
+        victim = _xml_client(wire_server)
         try:
             attacker.sendall(struct.pack(">I", 0xFFFFFFFF))
             assert read_frame(attacker) is None
@@ -104,15 +142,15 @@ class TestForgedHeaders:
             victim.close()
 
     def test_zero_length_frame_answered_not_fatal(self, wire_server):
-        """An empty payload is a (bad) request, not a framing violation."""
+        """An empty request body is a (bad) request, not a framing
+        violation."""
         sock = _connect(wire_server)
         try:
-            sock.sendall(struct.pack(">I", 0))
-            response = decode(read_frame(sock))
-            assert isinstance(response, ErrorResponse)
+            write_frame(sock, pack_correlated(5, b""))
+            assert isinstance(_read_reply(sock, 5), ErrorResponse)
             # And the connection still serves real requests.
-            write_frame(sock, encode(PuzzleRequest()))
-            assert isinstance(decode(read_frame(sock)), PuzzleResponse)
+            sock.sendall(_puzzle_wire(6))
+            assert isinstance(_read_reply(sock, 6), PuzzleResponse)
         finally:
             sock.close()
 
@@ -123,8 +161,6 @@ class TestGarbageCorrelationIds:
         protocol violation: the server must drop the connection."""
         sock = _connect(wire_server)
         try:
-            write_frame(sock, make_hello("xml"))
-            assert parse_hello(read_frame(sock)) == "xml"
             write_frame(sock, b"\x01\x02")  # 2 bytes < 4-byte corr id
             assert read_frame(sock) is None
         finally:
@@ -133,13 +169,8 @@ class TestGarbageCorrelationIds:
     def test_garbage_body_after_valid_id_gets_error_reply(self, wire_server):
         sock = _connect(wire_server)
         try:
-            write_frame(sock, make_hello("xml"))
-            assert parse_hello(read_frame(sock)) == "xml"
-            write_frame(sock, struct.pack(">I", 77) + b"\x00garbage\xff")
-            reply = read_frame(sock)
-            assert struct.unpack(">I", reply[:4])[0] == 77
-            response = decode(reply[4:])
-            assert isinstance(response, ErrorResponse)
+            write_frame(sock, pack_correlated(77, b"\x00garbage\xff"))
+            assert isinstance(_read_reply(sock, 77), ErrorResponse)
         finally:
             sock.close()
 
@@ -153,7 +184,7 @@ class TestMidFrameDisconnect:
 
     def test_disconnect_inside_payload(self, wire_server):
         sock = _connect(wire_server)
-        wire = frame(encode(PuzzleRequest()))
+        wire = _puzzle_wire()
         sock.sendall(wire[: len(wire) - 3])
         sock.close()
         self._server_still_serves(wire_server)
@@ -161,7 +192,7 @@ class TestMidFrameDisconnect:
     def test_abortive_reset_inside_payload(self, wire_server):
         """A RST (not a FIN) mid-frame must not take the transport down."""
         sock = _connect(wire_server)
-        wire = frame(encode(PuzzleRequest()))
+        wire = _puzzle_wire()
         sock.sendall(wire[:-1])
         # SO_LINGER 0 turns close() into a hard reset.
         sock.setsockopt(
@@ -172,7 +203,7 @@ class TestMidFrameDisconnect:
 
     @staticmethod
     def _server_still_serves(transport):
-        with TcpClient(*transport.address) as client:
+        with _xml_client(transport) as client:
             response = decode(client.request(encode(PuzzleRequest())))
             assert isinstance(response, PuzzleResponse)
 
@@ -185,7 +216,7 @@ class TestSlowLoris:
         stop = threading.Event()
 
         def dribble():
-            wire = frame(encode(PuzzleRequest()))
+            wire = _puzzle_wire()
             for byte_at in range(len(wire)):
                 if stop.is_set():
                     return
@@ -200,7 +231,7 @@ class TestSlowLoris:
         try:
             # While the loris crawls, a normal client gets answers fast.
             started = time.monotonic()
-            with TcpClient(*wire_server.address) as client:
+            with _xml_client(wire_server) as client:
                 for _ in range(10):
                     response = decode(client.request(encode(PuzzleRequest())))
                     assert isinstance(response, PuzzleResponse)
@@ -214,10 +245,10 @@ class TestSlowLoris:
         """Patience, not punishment: the crawling frame completes."""
         sock = _connect(wire_server)
         try:
-            wire = frame(encode(PuzzleRequest()))
+            wire = _puzzle_wire()
             for chunk_at in range(0, len(wire), 16):
                 sock.sendall(wire[chunk_at : chunk_at + 16])
                 time.sleep(0.01)
-            assert isinstance(decode(read_frame(sock)), PuzzleResponse)
+            assert isinstance(_read_reply(sock), PuzzleResponse)
         finally:
             sock.close()

@@ -46,24 +46,8 @@ class TestNegotiation:
         with PipeliningClient(host, port, codec="msgpack") as client:
             assert client.codec == "xml"
 
-    def test_codec_blind_handler_pins_xml(self, server):
-        """A plain (source, bytes) handler cannot decode binary, so the
-        negotiation must answer with the XML fallback."""
-
-        def blind(source, payload):
-            return server.handle_bytes(source, payload)
-
-        with EventLoopServer(blind) as transport:
-            host, port = transport.address
-            with PipeliningClient(host, port, codec="binary") as client:
-                assert client.codec == "xml"
-                response = decode_with(
-                    "xml", client.request(encode_with("xml", PuzzleRequest()))
-                )
-                assert isinstance(response, PuzzleResponse)
-
     def test_server_that_cannot_hello_is_refused(self):
-        """A pre-negotiation server answers the HELLO as a request; the
+        """A peer that answers the HELLO as if it were a request: the
         client must detect the missing HELLO reply and refuse cleanly."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))

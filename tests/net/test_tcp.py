@@ -1,4 +1,4 @@
-"""Blocking frame I/O, and the lockstep client against the event loop."""
+"""Blocking frame I/O, and lockstep requests against the event loop."""
 
 import socket
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import FrameError
 from repro.net.evloop import EventLoopServer
-from repro.net.tcp import MAX_FRAME_BYTES, TcpClient, read_frame, write_frame
+from repro.net.framing import MAX_FRAME_BYTES, read_frame, write_frame
+from repro.net.pipelining import PipeliningClient
 from repro.protocol import (
     ErrorResponse,
     PuzzleRequest,
@@ -88,7 +89,7 @@ class TestHandlerExceptionGuarantee:
     def test_exception_becomes_error_response(self, caplog):
         calls = []
 
-        def exploding(source, payload):
+        def exploding(source, payload, codec, push):
             calls.append(payload)
             if payload == b"boom":
                 raise RuntimeError("handler bug")
@@ -96,7 +97,7 @@ class TestHandlerExceptionGuarantee:
 
         with EventLoopServer(exploding) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with PipeliningClient(host, port, codec="xml") as client:
                 response = decode(client.request(b"boom"))
                 assert isinstance(response, ErrorResponse)
                 assert response.code == "server-error"
@@ -113,14 +114,14 @@ class TestHandlerExceptionGuarantee:
         """Even alternating good/crashing requests never desynchronise
         the request/response pairing."""
 
-        def flaky(source, payload):
+        def flaky(source, payload, codec, push):
             if payload.startswith(b"crash"):
                 raise ValueError(payload.decode())
-            return server.handle_bytes(source, payload)
+            return server.handle_bytes(source, payload, codec, push)
 
         with EventLoopServer(flaky) as evs:
             host, port = evs.address
-            with TcpClient(host, port) as client:
+            with PipeliningClient(host, port, codec="xml") as client:
                 for index in range(6):
                     if index % 2:
                         response = decode(client.request(b"crash%d" % index))

@@ -13,8 +13,7 @@ import pytest
 from repro.clock import SimClock
 from repro.errors import EndpointUnreachableError
 from repro.client.lookup import CoalescingLookupClient
-from repro.net import EventLoopServer
-from repro.net.tcp import TcpClient
+from repro.net import EventLoopServer, PipeliningClient
 from repro.protocol import (
     QuerySoftwareBatchRequest,
     QuerySoftwareBatchResponse,
@@ -158,7 +157,7 @@ class TestBatchOverTcp:
         session = sessions[0]
         with EventLoopServer(server.handle_bytes) as tcp:
             host, port = tcp.address
-            with TcpClient(host, port) as sequential_client:
+            with PipeliningClient(host, port, codec="xml") as sequential_client:
                 sequential = [
                     decode(
                         sequential_client.request(
@@ -168,7 +167,7 @@ class TestBatchOverTcp:
                     for index in range(N_SOFTWARE)
                 ]
                 assert sequential_client.round_trips == N_SOFTWARE
-            with TcpClient(host, port) as batch_client:
+            with PipeliningClient(host, port, codec="xml") as batch_client:
                 response = decode(
                     batch_client.request(
                         encode(

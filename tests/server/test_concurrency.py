@@ -13,7 +13,7 @@ import pytest
 
 from repro.clock import SimClock
 from repro.net.evloop import EventLoopServer
-from repro.net.tcp import TcpClient
+from repro.net.pipelining import PipeliningClient
 from repro.protocol import (
     OkResponse,
     QuerySoftwareRequest,
@@ -172,7 +172,7 @@ class TestTcpConcurrency:
             host, port = tcp.address
 
             def worker(user_index: int, session: str) -> None:
-                with TcpClient(host, port) as client:
+                with PipeliningClient(host, port, codec="xml") as client:
                     barrier.wait()
                     for message in _requests_for(session, user_index):
                         response = decode(client.request(encode(message)))
@@ -210,7 +210,7 @@ class TestTcpConcurrency:
             host, port = tcp.address
 
             def worker(user_index: int, session: str) -> None:
-                with TcpClient(host, port) as client:
+                with PipeliningClient(host, port, codec="xml") as client:
                     for message in _requests_for(session, user_index):
                         client.request(encode(message))
 
@@ -268,7 +268,7 @@ class TestReadHeavyTcpConcurrency:
             host, port = tcp.address
 
             def reader(reader_index: int, session: str) -> None:
-                with TcpClient(host, port) as client:
+                with PipeliningClient(host, port, codec="xml") as client:
                     barrier.wait()
                     for _ in range(self.READ_PASSES):
                         for message in _requests_for(session, reader_index):
@@ -285,7 +285,7 @@ class TestReadHeavyTcpConcurrency:
                                 failures.append((reader_index, response))
 
             def writer() -> None:
-                with TcpClient(host, port) as client:
+                with PipeliningClient(host, port, codec="xml") as client:
                     barrier.wait()
                     for message in _requests_for(writer_session, writer_index):
                         if not isinstance(message, VoteRequest):

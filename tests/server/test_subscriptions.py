@@ -30,9 +30,8 @@ def _update(
 class FakeChannel:
     """A PushChannel stand-in the dispatcher can deliver to."""
 
-    def __init__(self, extended=True, accept=True, gate=None):
+    def __init__(self, accept=True, gate=None):
         self.codec = CODEC_BINARY
-        self.extended = extended
         self.accept = accept
         #: Optional event the first send blocks on (slow-consumer tests).
         self.gate = gate
@@ -138,16 +137,6 @@ class TestDelivery:
         while registry.subscription_count() and time.monotonic() < cutoff:
             time.sleep(0.005)
         assert registry.subscription_count() == 0
-        assert registry.stats()["dropped_dead"] == 1
-
-    def test_legacy_framing_subscription_is_dropped(self, registry):
-        """A channel that cannot carry events is garbage, not a retry."""
-        channel = FakeChannel(extended=False, accept=False)
-        registry.subscribe(channel)
-        registry.publish(_update())
-        cutoff = time.monotonic() + 5.0
-        while registry.subscription_count() and time.monotonic() < cutoff:
-            time.sleep(0.005)
         assert registry.stats()["dropped_dead"] == 1
 
 
