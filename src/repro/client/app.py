@@ -559,8 +559,9 @@ class ReputationClient:
         score cache (including re-promoting stale entries: pushed data
         is live), so the PR 5 degradation ladder's stale rung holds the
         freshest pushed score if the server later goes dark.  A
-        ``resync`` event means the feed dropped updates for us; the
-        cached answer is demoted to stale rather than trusted.
+        ``resync`` event means the server refused updates for us while
+        our connection's write queue was over its cap; the cached
+        answer is demoted to stale rather than trusted.
 
         The update also flows into the :class:`SubscriptionManager`
         merge, so later policy checks and dialogs see the live community

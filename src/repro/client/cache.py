@@ -143,10 +143,11 @@ class ScoreCache:
         return True
 
     def demote(self, software_id: str) -> None:
-        """Push feed signalled a resync: updates for this digest were
-        dropped, so the cached answer may have a hole in it.  Demote it
-        to the stale store — good enough for the degraded ladder, but
-        the next healthy lookup goes back to the server."""
+        """Push feed signalled a resync: the server refused updates
+        for this subscription, so the cached answer may have a hole in
+        it.  Demote it to the stale store — good enough for the
+        degraded ladder, but the next healthy lookup goes back to the
+        server."""
         self._retire(software_id)
 
     def invalidate(self, software_id: str) -> None:

@@ -9,9 +9,11 @@ callback registered for its subscription.
 
 The pipelining client's reader thread delivers events; callbacks run on
 that thread and must stay quick (update a cache, set a flag, enqueue).
-A ``resync=True`` event means the server's bounded per-subscriber queue
-overflowed and dropped older updates — the feed exposes it so callers
-can demote their cached view instead of trusting a gappy stream.
+A ``resync=True`` event means the server refused earlier frames for
+the subscription because this connection's write queue was over its cap
+(the client was not reading fast enough) — the feed exposes it so
+callers can demote their cached view instead of trusting a gappy
+stream.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class ScoreFeed:
         #: Events for subscriptions this feed no longer knows (races
         #: between unwatch and in-flight pushes; harmless).
         self.events_unrouted = 0
-        #: Events that arrived carrying the resync marker.
+        #: Events that arrived carrying the resync marker (the server
+        #: refused earlier frames while our write queue was over its cap).
         self.resyncs_seen = 0
         client.on_event = self._sink
 

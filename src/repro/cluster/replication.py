@@ -55,41 +55,23 @@ def encode_units(units: List[tuple]) -> bytes:
     """Encode ``[(lsn, [mutation records])...]`` as a WAL byte stream."""
     out = bytearray()
     for lsn, mutations in units:
-        for mutation in mutations:
-            records.encode_mutation(out, mutation)
-        records.encode_commit(out, lsn, len(mutations))
+        records.encode_unit(out, lsn, mutations)
     return bytes(out)
 
 
 def decode_units(payload: bytes) -> List[tuple]:
-    """Inverse of :func:`encode_units`; raises :class:`ReplicationError`.
+    """Inverse of :func:`encode_units`.
 
-    Unlike segment replay there is no torn tail to forgive: the framed
-    transport delivered these bytes whole, so an incomplete unit is a
-    protocol violation, not a crash artifact.
+    Raises :class:`ReplicationError` for a payload that ends mid-record
+    or mid-unit, :class:`~repro.errors.WalCorruptionError` for a corrupt
+    record.  Unlike segment replay there is no torn tail to forgive: the
+    framed transport delivered these bytes whole, so an incomplete unit
+    is a protocol violation, not a crash artifact.
     """
-    cursor = Cursor(payload)
-    units: List[tuple] = []
-    pending: list = []
-    while cursor.remaining:
-        try:
-            kind, decoded = records.read_record(cursor)
-        except records.TornTail:
-            raise ReplicationError(
-                "replication payload ends mid-record"
-            ) from None
-        if kind == records.REC_MUTATION:
-            pending.append(decoded)
-        else:
-            lsn, count = decoded
-            if count != len(pending):
-                raise ReplicationError(
-                    f"unit {lsn} declares {count} mutations,"
-                    f" found {len(pending)}"
-                )
-            units.append((lsn, pending))
-            pending = []
-    if pending:
+    units, unclosed, torn = records.read_units(Cursor(payload))
+    if torn:
+        raise ReplicationError("replication payload ends mid-record")
+    if unclosed:
         raise ReplicationError("replication payload ends mid-unit")
     return units
 

@@ -52,7 +52,6 @@ from ..protocol import (
     ReplicateSnapshot,
     ReplicateUnits,
     VoteRequest,
-    encode_with,
 )
 from ..server import ReputationServer
 from ..storage import Column, ColumnType, Database, Schema, create_lock
@@ -425,21 +424,10 @@ class ShardServer:
         refusal = self.applier.staleness_refusal()
         if refusal is not None:
             return refusal
-        request = ctx.request
         server = self.server
-        info = server.lookup_software(request.software_id)
-        if server.score_cache.enabled and info.known:
-            # Same cached-wire-bytes fast path as the leader's handler.
-            wire = server.score_cache.wire_for(
-                request.software_id, info, ctx.codec
-            )
-            if wire is None:
-                wire = encode_with(ctx.codec, info)
-                server.score_cache.attach_wire(
-                    request.software_id, info, ctx.codec, wire
-                )
-            ctx.encoded_response = (info, wire)
-        return info
+        return server.reply_with_cached_wire(
+            ctx, server.lookup_software(ctx.request.software_id)
+        )
 
     def _handle_query_batch_follower(self, ctx):
         refusal = self.applier.staleness_refusal()

@@ -16,6 +16,7 @@ behaviours the paper describes:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from ..clock import SimClock
@@ -108,8 +109,20 @@ class ReputationEngine:
             for listener in self._score_listeners:
                 listener(update)
 
-    def _flush_pending_updates(self) -> None:
-        updates, self._pending_updates = self._pending_updates, []
+    @contextmanager
+    def _publishing_transaction(self):
+        """A storage transaction whose score publications reach the
+        listeners only once it has committed.
+
+        The buffered updates are taken while the transaction still holds
+        the exclusive side, so they are this transaction's own; a
+        rollback discards them with it.
+        """
+        with self.db.transaction():
+            try:
+                yield
+            finally:
+                updates, self._pending_updates = self._pending_updates, []
         self._dispatch_updates(updates)
 
     # -- membership ---------------------------------------------------------
@@ -149,9 +162,13 @@ class ReputationEngine:
         (see :mod:`.scoring` for the durability model).
         """
         now = self.clock.now()
-        settled = self.aggregator.score_of(software_id)
-        vote = self.ratings.cast(username, software_id, score, now)
-        self.scorer.apply_vote(vote, self._publish_immediately)
+        # One transaction for the insert and the fold: concurrent votes
+        # on a digest fold (and number their score versions) one at a
+        # time, and each sees the score the last one published.
+        with self._publishing_transaction():
+            settled = self.aggregator.score_of(software_id)
+            vote = self.ratings.cast(username, software_id, score, now)
+            self.scorer.apply_vote(vote, self._publish_immediately)
         # The trust model judges the vote against the score published
         # *before* it landed; a moved weight re-publishes the voter's
         # other digests through the trust listeners wired above.
@@ -172,24 +189,19 @@ class ReputationEngine:
         the votes and comments of well-known, reliable users more visible
         and influential".
         """
-        try:
-            with self.db.transaction():
-                remark = self.comments.add_remark(
-                    username, comment_id, positive, self.clock.now()
-                )
-                author = self.comments.get_comment(comment_id).username
-                policy = self.trust.policy
-                now = self.clock.now()
-                if positive:
-                    amount = policy.credit_per_positive_remark
-                    self.trust.credit(author, amount, now)
-                else:
-                    amount = policy.debit_per_negative_remark
-                    self.trust.debit(author, amount, now)
-        except BaseException:
-            self._pending_updates.clear()
-            raise
-        self._flush_pending_updates()
+        with self._publishing_transaction():
+            remark = self.comments.add_remark(
+                username, comment_id, positive, self.clock.now()
+            )
+            author = self.comments.get_comment(comment_id).username
+            policy = self.trust.policy
+            now = self.clock.now()
+            if positive:
+                amount = policy.credit_per_positive_remark
+                self.trust.credit(author, amount, now)
+            else:
+                amount = policy.debit_per_negative_remark
+                self.trust.debit(author, amount, now)
         return remark
 
     # -- replication (follower-side derived state) ---------------------------

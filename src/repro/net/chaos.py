@@ -280,6 +280,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopping.set()
         try:
+            # close() alone does not wake an accept() blocked on another
+            # thread; shutdown() does, at once.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never listening, or already shut down
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 from ..clock import monotonic_now
 from ..errors import FrameError
-from .framing import ConnectionProtocol, FrameAssembler, frame
+from .framing import ConnectionProtocol, FrameAssembler, Push, frame
 
 #: recv() chunk size: large enough to swallow a pipelined burst whole.
 RECV_SIZE = 64 * 1024
@@ -98,9 +98,9 @@ class _Loop:
         self.reaped = 0
         self._inbox: deque = deque()
         self._inbox_lock = threading.Lock()
-        # Server-push frames from foreign threads (the subscription
-        # dispatcher) land here and are enqueued on the loop thread —
-        # the same inbox+wake pattern as adopt().
+        # Server-push frames from any thread (a vote's publish, on the
+        # loop that served the vote) land here and are enqueued on this
+        # loop's thread — the same inbox+wake pattern as adopt().
         self._push_inbox: deque = deque()
         self._push_lock = threading.Lock()
         #: Reusable recv scratch: one 64 KiB allocation per loop, not
@@ -131,23 +131,27 @@ class _Loop:
         except (BlockingIOError, OSError):
             pass  # a pending wake byte is wake enough
 
-    def push(self, connection: "_Connection", payload: bytes) -> bool:
+    def push(self, connection: "_Connection", payload: bytes) -> Push:
         """Queue one server-initiated frame payload for *connection*.
 
-        Callable from any thread.  Returns ``False`` — delivery
-        refused — when the connection is gone, the server is stopping,
-        or the connection's write queue is already over the cap (the
-        slow-consumer policy: the caller marks the subscription for
-        resync rather than buffering without bound).  The checks are
-        best-effort reads of loop-owned state; a race simply means the
-        frame is dropped on the loop thread instead of here.
+        Callable from any thread; never blocks.  The frame waits in
+        this loop's push inbox, in call order, until the loop thread
+        moves it to the connection's write queue — the one buffer a
+        slow subscriber can fill.  The verdict is :attr:`Push.CLOSED`
+        when the connection is gone or the server is stopping, and
+        :attr:`Push.OVER_CAP` when the connection's write queue is over
+        ``max_pending_out`` (the slow-consumer policy: the caller marks
+        the subscription for resync rather than buffering without
+        bound).  The checks are best-effort reads of loop-owned state; a
+        race simply means the frame is dropped on the loop thread
+        instead of here.
         """
         if self.server._stopping.is_set():
-            return False
+            return Push.CLOSED
         if self.connections.get(connection.fd) is not connection:
-            return False
+            return Push.CLOSED
         if connection.pending_out > self.server.max_pending_out:
-            return False
+            return Push.OVER_CAP
         with self._push_lock:
             idle = not self._push_inbox
             self._push_inbox.append((connection, payload))
@@ -156,7 +160,7 @@ class _Loop:
         # so every later append lands before that drain finishes.
         if idle:
             self.wake()
-        return True
+        return Push.QUEUED
 
     # -- the loop ----------------------------------------------------------
 
@@ -232,9 +236,9 @@ class _Loop:
         # not exist until the protocol does — late-bind through a cell.
         connection_cell: list = []
 
-        def send_push(payload: bytes) -> bool:
+        def send_push(payload: bytes) -> Push:
             if not connection_cell:
-                return False
+                return Push.CLOSED
             return self.push(connection_cell[0], payload)
 
         connection = _Connection(

@@ -34,6 +34,7 @@ loop that drives it.
 
 from __future__ import annotations
 
+import enum
 import logging
 import socket
 import struct
@@ -221,16 +222,33 @@ def unpack_correlated(payload: bytes) -> tuple:
     return correlation_id, payload[_CORRELATION.size:]
 
 
+class Push(enum.Enum):
+    """What became of one server-push frame.
+
+    Truthy only for :attr:`QUEUED`, so ``if not send_event(...)`` reads
+    "refused"; the two refusals say why.
+    """
+
+    #: Appended to the connection's write queue.
+    QUEUED = "queued"
+    #: The connection is open but its write queue is over its cap.
+    OVER_CAP = "over-cap"
+    #: The connection is closed or the server is stopping.
+    CLOSED = "closed"
+
+    def __bool__(self) -> bool:
+        return self is Push.QUEUED
+
+
 class PushChannel:
     """A transport-neutral handle for pushing event frames down one
     connection.
 
     Wraps the connection's negotiated codec and a transport-supplied
-    ``send(frame_payload) -> bool`` callable that must be safe to call
-    from any thread (the subscription dispatcher runs on its own).
-    ``send_event`` returns ``False`` when the frame was not accepted —
-    connection gone or transport backpressure — and the caller (the
-    subscription registry) treats that as delivery failure.
+    ``send(frame_payload) -> Push`` callable that must be safe to call
+    from any thread (the subscription registry calls it on whichever
+    thread published the score) and must never block.  ``send_event``
+    returns the transport's :class:`Push` verdict.
     """
 
     __slots__ = ("peer_address", "_protocol", "_send")
@@ -244,13 +262,13 @@ class PushChannel:
     def codec(self) -> str:
         return self._protocol.codec
 
-    def send_event(self, subscription_id: int, body: bytes) -> bool:
-        """Push one event body; True only if the transport accepted it."""
+    def send_event(self, subscription_id: int, body: bytes) -> Push:
+        """Push one event body; the verdict is truthy only if queued."""
         payload = pack_correlated(event_correlation_id(subscription_id), body)
         try:
-            return bool(self._send(payload))
+            return self._send(payload)
         except OSError:
-            return False
+            return Push.CLOSED
 
 
 # ---------------------------------------------------------------------------

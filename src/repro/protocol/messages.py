@@ -275,10 +275,10 @@ class UnsubscribeRequest(Message):
 class ScoreUpdateEvent(Message):
     """A server-initiated push: one score publication.
 
-    ``resync`` set means the subscriber's bounded event queue
-    overflowed and older updates were dropped — the client must treat
-    its cached state for this subscription as stale and re-query
-    anything it cares about.
+    ``resync`` set means frames for this subscription were refused
+    since the last one delivered, because the connection's write queue
+    was over its cap — the client must treat its cached state for this
+    subscription as stale and re-query anything it cares about.
     """
 
     subscription_id: int

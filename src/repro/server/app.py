@@ -380,19 +380,27 @@ class ReputationServer:
             vendor=request.vendor,
             version=request.version,
         )
-        info = self._software_info(request.software_id)
+        return self.reply_with_cached_wire(
+            ctx, self._software_info(request.software_id)
+        )
+
+    def reply_with_cached_wire(
+        self, ctx: RequestContext, info: SoftwareInfoResponse
+    ) -> SoftwareInfoResponse:
+        """Answer a lookup with *info*, from cached wire bytes if it can.
+
+        The encoding dominates a warm read: a known digest's answer is
+        encoded once per score version *per negotiated codec*, cached
+        beside the entry, and handed to the pipeline as the encoded
+        response.  The leader's and a follower's lookup handlers share
+        this.
+        """
         if self.score_cache.enabled and info.known:
-            # The encoding dominates a warm read: serve the cached bytes
-            # through the codec's pass-through, encoding each response
-            # exactly once per score version *per negotiated codec*.
-            wire = self.score_cache.wire_for(
-                request.software_id, info, ctx.codec
-            )
+            software_id = ctx.request.software_id
+            wire = self.score_cache.wire_for(software_id, info, ctx.codec)
             if wire is None:
                 wire = encode_with(ctx.codec, info)
-                self.score_cache.attach_wire(
-                    request.software_id, info, ctx.codec, wire
-                )
+                self.score_cache.attach_wire(software_id, info, ctx.codec, wire)
             ctx.encoded_response = (info, wire)
         return info
 

@@ -26,20 +26,6 @@ The public surface is :class:`~repro.storage.engine.Database`:
 from .schema import Column, ColumnType, Schema
 from .table import Table
 from .index import HashIndex, SortedIndex
-from .query import (
-    and_,
-    or_,
-    not_,
-    eq,
-    ne,
-    lt,
-    le,
-    gt,
-    ge,
-    between,
-    contains,
-    in_set,
-)
 from .locks import (
     LockOrderDetector,
     LockUpgradeError,
@@ -94,16 +80,4 @@ __all__ = [
     "disable_lock_order_detection",
     "lock_order_detection",
     "lock_order_detector",
-    "and_",
-    "or_",
-    "not_",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "between",
-    "contains",
-    "in_set",
 ]

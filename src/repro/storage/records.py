@@ -22,8 +22,9 @@ WAL file grammar::
 
 Every committed unit is a run of MUTATION records closed by one COMMIT
 record carrying the unit's monotonically increasing **LSN** and its
-mutation count; replay applies only complete, CRC-clean, consecutive
-units (see :meth:`repro.storage.wal.WriteAheadLog.replay`).
+mutation count (:func:`encode_unit`, :func:`read_units`; replication
+ships the same unit stream).  Replay applies only complete, CRC-clean,
+consecutive units (see :meth:`repro.storage.wal.WriteAheadLog.replay`).
 
 Snapshot file grammar::
 
@@ -200,6 +201,13 @@ def encode_commit(out: bytearray, lsn: int, count: int) -> None:
     _frame(out, payload)
 
 
+def encode_unit(out: bytearray, lsn: int, mutations: list) -> None:
+    """Append one commit unit: its MUTATION records closed by a COMMIT."""
+    for mutation in mutations:
+        encode_mutation(out, mutation)
+    encode_commit(out, lsn, len(mutations))
+
+
 def _frame(out: bytearray, payload: bytearray) -> None:
     write_varint(out, len(payload))
     out += payload
@@ -356,3 +364,36 @@ def read_record(cursor: Cursor) -> tuple:
             f"{body.remaining} trailing bytes inside a WAL record"
         )
     return kind, decoded
+
+
+def read_units(cursor: Cursor) -> tuple:
+    """Walk a stream of commit units (``MUTATION* COMMIT``, repeated).
+
+    Returns ``(units, unclosed, torn)``: the complete ``(lsn,
+    [mutations])`` units in stream order, the mutations after the last
+    COMMIT, and whether the stream ends mid-record (:class:`TornTail`).
+    What an unclosed unit or a torn tail means is the caller's policy: a
+    WAL segment forgives both as a crash artifact, a replication payload
+    arrived whole and refuses them.  A COMMIT whose count disagrees with
+    the mutations before it raises
+    :class:`~repro.errors.WalCorruptionError`, as does any corrupt
+    record.
+    """
+    units: list = []
+    pending: list = []
+    while cursor.remaining:
+        try:
+            kind, decoded = read_record(cursor)
+        except TornTail:
+            return units, pending, True
+        if kind == REC_MUTATION:
+            pending.append(decoded)
+            continue
+        lsn, count = decoded
+        if count != len(pending):
+            raise WalCorruptionError(
+                f"commit {lsn} covers {count} mutations, found {len(pending)}"
+            )
+        units.append((lsn, pending))
+        pending = []
+    return units, pending, False

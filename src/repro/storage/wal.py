@@ -260,9 +260,7 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             buf = bytearray()
-            for mutation in mutations:
-                records.encode_mutation(buf, mutation)
-            records.encode_commit(buf, lsn, len(mutations))
+            records.encode_unit(buf, lsn, mutations)
             self._handle.write(buf)
             self._handle.flush()
             if self._approx_bytes is not None:
@@ -476,28 +474,12 @@ class WriteAheadLog:
             raise WalCorruptionError(
                 f"{path}: not a binary WAL segment"
             )
-        cursor = Cursor(blob[len(records.MAGIC_WAL):])
-        units = []
-        pending: list = []
-        torn = False
-        while cursor.remaining:
-            try:
-                kind, decoded = records.read_record(cursor)
-            except records.TornTail:
-                torn = True
-                break
-            except WalCorruptionError as exc:
-                raise WalCorruptionError(f"{path}: {exc}") from None
-            if kind == records.REC_MUTATION:
-                pending.append(decoded)
-            else:
-                lsn, count = decoded
-                if count != len(pending):
-                    raise WalCorruptionError(
-                        f"{path}: commit {lsn} covers {count} mutations, "
-                        f"found {len(pending)}"
-                    )
-                units.append((lsn, pending))
-                pending = []
-        # Mutations with no commit record (crash before commit): discard.
+        try:
+            units, _unclosed, torn = records.read_units(
+                Cursor(blob[len(records.MAGIC_WAL):])
+            )
+        except WalCorruptionError as exc:
+            raise WalCorruptionError(f"{path}: {exc}") from None
+        # Mutations with no commit record (crash before commit) are
+        # discarded; a torn tail ends replay of the log.
         return units, torn

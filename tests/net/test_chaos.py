@@ -1,6 +1,8 @@
 """The deterministic fault-injection harness itself."""
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -161,6 +163,17 @@ class TestChaosProxy:
                 ]
         assert all(isinstance(reply, PuzzleResponse) for reply in replies)
         assert client.orphan_responses == 0
+
+    def test_stop_returns_at_once_and_ends_the_acceptor(self, wire):
+        proxy = proxy_for(wire, ChaosSchedule()).start()
+        acceptor = proxy._acceptor
+        started = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - started < 1.0
+        assert not acceptor.is_alive()
+        assert not any(
+            thread.name == "chaos-proxy-accept" for thread in threading.enumerate()
+        )
 
 
 class TestChaosNetwork:

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import EndpointUnreachableError
 from repro.net import EventLoopServer, PipeliningClient
 from repro.net.framing import (
+    Push,
     make_hello,
     pack_correlated,
     parse_hello,
@@ -327,3 +328,43 @@ class TestPushDelivery:
             sys.setswitchinterval(switch_interval)
         assert refused == []
         assert received == [b"%d" % index for index in range(events)]
+
+    def test_refusals_say_why(self):
+        """An unread connection refuses pushes as over its cap and stays
+        open; a closed one, or a stopping server, refuses as closed."""
+        channels = []
+        big = b"\x42" * (64 * 1024)
+
+        def handler(source, payload, codec, push):
+            channels.append(push)
+            return b"ok"
+
+        def push_until(verdict, limit=1000):
+            for _ in range(limit):
+                result = channels[0].send_event(7, big)
+                if result is verdict:
+                    return True
+                time.sleep(0.001)  # let the loop drain its push inbox
+            return False
+
+        evs = EventLoopServer(handler, max_pending_out=64 * 1024).start()
+        try:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect(evs.address)
+            try:
+                write_frame(sock, make_hello("xml"))
+                assert parse_hello(read_frame(sock)) == "xml"
+                write_frame(sock, pack_correlated(1, b"subscribe"))
+                assert read_frame(sock) == pack_correlated(1, b"ok")
+                assert channels[0].send_event(7, b"first") is Push.QUEUED
+                # Never read: the write queue passes its cap.
+                assert push_until(Push.OVER_CAP)
+                assert evs.connection_count == 1
+            finally:
+                sock.close()
+            assert push_until(Push.CLOSED)
+        finally:
+            evs.stop()
+        assert channels[0].send_event(7, b"late") is Push.CLOSED

@@ -1,4 +1,4 @@
-"""The push-subscription registry: matching, queues, slow consumers."""
+"""The push-subscription registry: matching, delivery, slow consumers."""
 
 import threading
 import time
@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core.aggregation import ScoreUpdate
+from repro.net.framing import Push
 from repro.protocol import CODEC_BINARY, ScoreUpdateEvent, decode_with
 from repro.server.subscriptions import SubscriptionRegistry
 
@@ -28,40 +29,22 @@ def _update(
 
 
 class FakeChannel:
-    """A PushChannel stand-in the dispatcher can deliver to."""
+    """A PushChannel stand-in: records what it accepts.
 
-    def __init__(self, accept=True, gate=None):
+    *verdicts* scripts the answers to successive sends; once it runs
+    out every send is queued.
+    """
+
+    def __init__(self, *verdicts):
         self.codec = CODEC_BINARY
-        self.accept = accept
-        #: Optional event the first send blocks on (slow-consumer tests).
-        self.gate = gate
-        self.send_started = threading.Event()
-        self._lock = threading.Lock()
+        self.verdicts = list(verdicts)
         self.events: list = []
 
     def send_event(self, subscription_id, body):
-        self.send_started.set()
-        if self.gate is not None:
-            assert self.gate.wait(5.0)
-        if not self.accept:
-            return False
-        with self._lock:
-            self.events.append(
-                (subscription_id, decode_with(self.codec, body))
-            )
-        return True
-
-    def wait_for(self, count, deadline=5.0):
-        cutoff = time.monotonic() + deadline
-        while time.monotonic() < cutoff:
-            with self._lock:
-                if len(self.events) >= count:
-                    return list(self.events)
-            time.sleep(0.005)
-        with self._lock:
-            raise AssertionError(
-                f"only {len(self.events)}/{count} events delivered"
-            )
+        verdict = self.verdicts.pop(0) if self.verdicts else Push.QUEUED
+        if verdict:
+            self.events.append((subscription_id, decode_with(self.codec, body)))
+        return verdict
 
 
 @pytest.fixture
@@ -108,7 +91,9 @@ class TestDelivery:
         channel = FakeChannel()
         subscription_id = registry.subscribe(channel, digest_prefix="ab")
         registry.publish(_update(score=6.5, version=9, previous_score=5.0))
-        (delivered_id, event), = channel.wait_for(1)
+        # Delivery is inline: the event is on the channel when publish
+        # returns.
+        (delivered_id, event), = channel.events
         assert delivered_id == subscription_id
         assert isinstance(event, ScoreUpdateEvent)
         assert event.subscription_id == subscription_id
@@ -123,60 +108,96 @@ class TestDelivery:
         channels = [FakeChannel() for _ in range(3)]
         for channel in channels:
             registry.subscribe(channel)
-        registry.publish(_update())
+        assert registry.publish(_update()) == 3
         for channel in channels:
-            channel.wait_for(1)
+            assert len(channel.events) == 1
         assert registry.stats()["delivered"] == 3
 
-    def test_dead_connection_is_dropped(self, registry):
-        channel = FakeChannel(accept=False)
+    def test_events_arrive_in_publish_order(self, registry):
+        channel = FakeChannel()
         registry.subscribe(channel)
+        for version in range(1, 51):
+            registry.publish(_update(version=version))
+        assert [event.version for _, event in channel.events] == list(
+            range(1, 51)
+        )
+
+    def test_dead_connection_is_dropped(self, registry):
+        channel = FakeChannel(Push.CLOSED)
+        registry.subscribe(channel)
+        assert registry.publish(_update()) == 1
+        assert registry.subscription_count() == 0
+        assert registry.stats()["dropped_dead"] == 1
+        assert registry.stats()["dropped_slow"] == 0
+        # Gone for good: the next publish matches nobody.
+        assert registry.publish(_update(version=2)) == 0
+
+    def test_failing_channel_is_dropped(self, registry):
+        class Broken(FakeChannel):
+            def send_event(self, subscription_id, body):
+                raise RuntimeError("transport bug")
+
+        registry.subscribe(Broken())
         registry.publish(_update())
-        channel.send_started.wait(5.0)
-        cutoff = time.monotonic() + 5.0
-        while registry.subscription_count() and time.monotonic() < cutoff:
-            time.sleep(0.005)
         assert registry.subscription_count() == 0
         assert registry.stats()["dropped_dead"] == 1
 
 
 class TestSlowConsumer:
-    def test_overflow_drops_oldest_and_marks_resync(self):
-        registry = SubscriptionRegistry(max_queued_events=2)
-        gate = threading.Event()
-        channel = FakeChannel(gate=gate)
-        try:
-            registry.subscribe(channel)
-            registry.publish(_update(version=1))
-            # The dispatcher is now blocked inside send_event for v1;
-            # the next three publishes land on the bounded queue (cap 2)
-            # with nobody draining, so v2 — the oldest queued — drops.
-            assert channel.send_started.wait(5.0)
-            for version in (2, 3, 4):
-                registry.publish(_update(version=version))
-            gate.set()
-            events = [event for _, event in channel.wait_for(3)]
-            assert [event.version for event in events] == [1, 3, 4]
-            # The first event delivered after the hole carries the
-            # resync marker; later ones do not.
-            assert [event.resync for event in events] == [False, True, False]
-            assert registry.stats()["dropped_slow"] == 1
-            assert registry.stats()["dropped_dead"] == 0
-        finally:
-            gate.set()
-            registry.close()
+    def test_over_cap_refusal_keeps_subscription_and_marks_resync(
+        self, registry
+    ):
+        channel = FakeChannel(Push.QUEUED, Push.OVER_CAP)
+        registry.subscribe(channel)
+        for version in (1, 2, 3, 4):
+            registry.publish(_update(version=version))
+        # v2 was refused while the write queue was over its cap; the
+        # subscription stayed, and the first event delivered after the
+        # hole carries the resync marker, later ones do not.
+        assert registry.subscription_count() == 1
+        events = [event for _, event in channel.events]
+        assert [event.version for event in events] == [1, 3, 4]
+        assert [event.resync for event in events] == [False, True, False]
+        assert registry.stats()["dropped_slow"] == 1
+        assert registry.stats()["dropped_dead"] == 0
+        assert registry.stats()["delivered"] == 3
 
-    def test_max_queued_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SubscriptionRegistry(max_queued_events=0)
+    def test_resync_stays_set_until_a_frame_is_queued(self, registry):
+        channel = FakeChannel(Push.OVER_CAP, Push.OVER_CAP)
+        registry.subscribe(channel)
+        for version in (1, 2, 3):
+            registry.publish(_update(version=version))
+        (_, event), = channel.events
+        assert (event.version, event.resync) == (3, True)
+        assert registry.stats()["dropped_slow"] == 2
+
+    def test_slow_subscriber_does_not_hold_back_others(self, registry):
+        slow = FakeChannel(*[Push.OVER_CAP] * 5)
+        fast = FakeChannel()
+        registry.subscribe(slow)
+        registry.subscribe(fast)
+        for version in range(1, 6):
+            registry.publish(_update(version=version))
+        assert len(fast.events) == 5
+        assert slow.events == []
+        assert registry.subscription_count() == 2
 
 
 class TestLifecycle:
     def test_close_drops_everyone(self, registry):
         registry.subscribe(FakeChannel())
         registry.subscribe(FakeChannel())
+        registry.publish(_update())
+        started = time.monotonic()
         registry.close()
+        assert time.monotonic() - started < 0.1
         assert registry.subscription_count() == 0
+
+    def test_publish_starts_no_thread(self, registry):
+        before = threading.active_count()
+        registry.subscribe(FakeChannel())
+        registry.publish(_update())
+        assert threading.active_count() == before
 
     def test_stats_shape(self, registry):
         stats = registry.stats()

@@ -112,6 +112,42 @@ class TestWalRecords:
             records.read_record(Cursor(bytes(framed)))
 
 
+class TestCommitUnits:
+    def _stream(self):
+        out = bytearray()
+        records.encode_unit(out, 1, [_mutation(), _mutation(op="delete", row=None)])
+        records.encode_unit(out, 2, [])
+        return out
+
+    def test_roundtrip(self):
+        units, unclosed, torn = records.read_units(Cursor(bytes(self._stream())))
+        assert [lsn for lsn, _ in units] == [1, 2]
+        assert units[0][1][1]["op"] == "delete"
+        assert units[1][1] == []
+        assert (unclosed, torn) == ([], False)
+
+    def test_mutations_after_the_last_commit_are_unclosed(self):
+        out = self._stream()
+        records.encode_mutation(out, _mutation())
+        units, unclosed, torn = records.read_units(Cursor(bytes(out)))
+        assert len(units) == 2
+        assert unclosed == [_mutation()]
+        assert not torn
+
+    def test_stream_ending_mid_record_is_torn(self):
+        blob = bytes(self._stream())
+        units, unclosed, torn = records.read_units(Cursor(blob[:-3]))
+        assert [lsn for lsn, _ in units] == [1]
+        assert torn
+
+    def test_commit_count_mismatch_raises(self):
+        out = bytearray()
+        records.encode_mutation(out, _mutation())
+        records.encode_commit(out, 7, 2)
+        with pytest.raises(WalCorruptionError, match="commit 7 covers 2"):
+            records.read_units(Cursor(bytes(out)))
+
+
 class TestSnapshot:
     def _write(self, path, tables, lsn=42):
         with open(path, "wb") as handle:
