@@ -74,8 +74,8 @@ class ReputationEngine:
             ModerationQueue(self.comments) if moderated_comments else None
         )
         # Score publications buffer while a storage transaction is open
-        # and fan out to listeners only after it commits — subscribers
-        # never observe a state that rolls back.
+        # and fan out to listeners only once its body has succeeded —
+        # subscribers never observe a state that rolls back.
         self._score_listeners: list = []
         self._pending_updates: list = []
         self.aggregator.add_listener(self._on_score_published)
@@ -93,8 +93,10 @@ class ReputationEngine:
         """Register a callback invoked with each committed :class:`ScoreUpdate`.
 
         The server's push path hangs off this hook; experiment probes
-        (E10 freshness) use it too.  Listeners run outside the storage
-        write lock, after the publishing transaction committed.
+        (E10 freshness) use it too.  A publication inside a transaction
+        reaches the listeners when the transaction's body has succeeded,
+        while it still holds the storage write lock, so listeners see a
+        digest's versions in order; they must not block.
         """
         self._score_listeners.append(listener)
 
@@ -112,18 +114,20 @@ class ReputationEngine:
     @contextmanager
     def _publishing_transaction(self):
         """A storage transaction whose score publications reach the
-        listeners only once it has committed.
+        listeners only once its body has succeeded.
 
-        The buffered updates are taken while the transaction still holds
-        the exclusive side, so they are this transaction's own; a
-        rollback discards them with it.
+        The buffered updates are taken and fanned out while the
+        transaction still holds the exclusive side: they are this
+        transaction's own, and they leave in the order their versions
+        were numbered.  A body that raises discards them with the
+        rollback.
         """
         with self.db.transaction():
             try:
                 yield
             finally:
                 updates, self._pending_updates = self._pending_updates, []
-        self._dispatch_updates(updates)
+            self._dispatch_updates(updates)
 
     # -- membership ---------------------------------------------------------
 

@@ -210,7 +210,8 @@ class TestBootstrap:
 class TestConcurrentVotes:
     def test_parallel_votes_on_one_digest_publish_distinct_versions(self):
         """Votes folding on several threads at once: every publish of a
-        digest carries its own version and the sums stay exact.
+        digest carries its own version, the listeners see the versions
+        in order, and the sums stay exact.
 
         Four rounds, each eight threads voting 300 times on one digest;
         without the engine serialising the fold a round publishes
@@ -256,7 +257,7 @@ class TestConcurrentVotes:
             sys.setswitchinterval(switch_interval)
         total = threads * per_thread
         for digest in digests:
-            assert sorted(versions[digest]) == list(range(1, total + 1))
+            assert versions[digest] == list(range(1, total + 1))
             published = engine.software_reputation(digest)
             assert (published.vote_count, published.version) == (total, total)
         report = engine.reconcile_scores()
