@@ -10,10 +10,10 @@ moment a matching score publishes — no polling, no 24-hour window.
 
 Delivery:
 
-* ``publish()`` is called by the engine's score listener, after the
-  publishing transaction committed, on the thread that committed it.
-  Under the registry lock it matches subscriptions, encodes one event
-  per match and hands it to the subscriber's
+* ``publish()`` is called by the engine's score listener on the
+  thread that published the score (for a vote, the event loop that
+  served it).  Under the registry lock it matches subscriptions,
+  encodes one event per match and hands it to the subscriber's
   :class:`~repro.net.framing.PushChannel`, which passes it to the
   connection's event loop without blocking.  So events for one
   subscription leave in publish order, the publisher never waits on a
@@ -87,7 +87,7 @@ class SubscriptionRegistry:
     """Fan a stream of :class:`ScoreUpdate` out to push subscribers.
 
     Thread-safe: ``subscribe``/``unsubscribe`` arrive on transport
-    threads and ``publish`` on whichever thread committed the score;
+    threads and ``publish`` on whichever thread published the score;
     delivery happens inside ``publish``.  The registry starts no thread.
     """
 
