@@ -50,7 +50,7 @@ def main():
     print(f"  day 10: {rated[9]}   day 30: {rated[29]}   day 60: {rated[-1]}")
 
     worst = sorted(
-        result.engine.aggregator.all_scores(), key=lambda score: score.score
+        result.engine.scores.all_scores(), key=lambda score: score.score
     )[:5]
     print("\nlowest-rated programs (the community's spyware wall of shame):")
     for score in worst:

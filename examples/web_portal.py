@@ -70,7 +70,7 @@ def main():
             f"{update.score:.2f} (v{update.version})"
         )
 
-    engine.add_score_listener(announce)
+    engine.scores.add_listener(announce)
     print("casting one more vote; the score republishes immediately:")
     engine.enroll_user("late_voter")
     engine.cast_vote("late_voter", kazaa.software_id, 1)

@@ -11,9 +11,9 @@ Each returns a dict with a ``rendered`` exhibit, like the E-series.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from ..clock import SimClock, days
-from ..core.aggregation import unweighted_mean
 from ..core.comments import CommentBoard
 from ..core.moderation import AutoModerator, ModerationQueue
 from ..core.policy import (
@@ -36,6 +36,13 @@ from .tables import format_score, render_table
 # ---------------------------------------------------------------------------
 # A1 — trust weighting
 # ---------------------------------------------------------------------------
+
+def unweighted_mean(votes: list) -> Optional[float]:
+    """Plain mean of *votes*: the trust-blind baseline of A1."""
+    if not votes:
+        return None
+    return sum(vote.score for vote in votes) / len(votes)
+
 
 def run_a1_weighting(
     experts: int = 8,

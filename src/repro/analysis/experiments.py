@@ -827,7 +827,7 @@ def run_e10_freshness(
         # Measure visibility through the publish path itself: every
         # published update stamps the digests it covers with "now".
         visible_at: dict = {}
-        engine.add_score_listener(
+        engine.scores.add_listener(
             lambda update, visible_at=visible_at: visible_at.setdefault(
                 update.software_id, []
             ).append(update.computed_at)

@@ -21,7 +21,7 @@ same transaction as each unit, and serves lag-bounded reads:
 * every write request is refused with ``E_NOT_LEADER``;
 * replicated **derived-table** mutations (running sums, score rows —
   :data:`DERIVED_TABLES`) are *skipped*: the follower recomputes them
-  through its own :class:`~repro.core.scoring.StreamingScorer` delta
+  through its own :class:`~repro.core.scoring.ScoreBook` delta
   path (:meth:`~repro.core.reputation.ReputationEngine.fold_replicated_vote`),
   which is bit-identical to the leader's (see :mod:`repro.core.scoring`
   on exactness) and cannot collide with the leader's write-back flush

@@ -7,9 +7,9 @@ Subpackage layout (Sec. 3 of DESIGN.md):
 * :mod:`~repro.core.trust` — user trust factors with the weekly growth cap.
 * :mod:`~repro.core.ratings` — 1–10 votes, one per user per software.
 * :mod:`~repro.core.comments` — comments and positive/negative remarks.
-* :mod:`~repro.core.aggregation` — published score rows and versions.
-* :mod:`~repro.core.scoring` — the trust-weighted fold and its two
-  publication cadences (daily tick or per vote).
+* :mod:`~repro.core.scoring` — the score book: the trust-weighted fold,
+  its published rows and versions, and its two publication cadences
+  (daily tick or per vote).
 * :mod:`~repro.core.vendor` — vendor reputation (mean of software scores).
 * :mod:`~repro.core.bootstrap` — seeding the database from a prior corpus.
 * :mod:`~repro.core.moderation` — the admin moderation queue.
@@ -31,8 +31,7 @@ from .trust import TrustModel, TrustPolicy, TrustLedger
 from .trust2 import BayesianTrustPolicy, BayesianTrustLedger
 from .ratings import RatingBook, Vote, MIN_SCORE, MAX_SCORE
 from .comments import CommentBoard, Comment, Remark
-from .aggregation import Aggregator, ScoreUpdate, SoftwareScore
-from .scoring import ReconciliationReport, StreamingScorer
+from .scoring import ReconciliationReport, ScoreBook, ScoreUpdate, SoftwareScore
 from .vendor import VendorBook, VendorScore
 from .bootstrap import BootstrapCorpus, bootstrap_database
 from .moderation import ModerationQueue, ModerationDecision, AutoModerator
@@ -72,10 +71,9 @@ __all__ = [
     "CommentBoard",
     "Comment",
     "Remark",
-    "Aggregator",
+    "ScoreBook",
     "ScoreUpdate",
     "SoftwareScore",
-    "StreamingScorer",
     "ReconciliationReport",
     "VendorBook",
     "VendorScore",

@@ -1,7 +1,7 @@
 """The reputation engine: one facade over the core mechanisms.
 
 This is what the server (and the tests/benchmarks) drive.  It wires the
-trust ledger, rating book, comment board, aggregator, and vendor book over
+trust ledger, rating book, comment board, score book, and vendor book over
 one :class:`~repro.storage.Database`, and implements the cross-cutting
 behaviours the paper describes:
 
@@ -16,17 +16,15 @@ behaviours the paper describes:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Optional
 
 from ..clock import SimClock
 from ..errors import ServerError
 from ..storage import Database
-from .aggregation import Aggregator, ScoreUpdate, SoftwareScore
 from .comments import Comment, CommentBoard, Remark
 from .moderation import ModerationQueue
 from .ratings import RatingBook, Vote
-from .scoring import ReconciliationReport, StreamingScorer
+from .scoring import ReconciliationReport, ScoreBook, SoftwareScore
 from .trust import TrustLedger
 from .trust2 import BayesianTrustLedger
 from .vendor import SoftwareRecord, VendorBook, VendorScore
@@ -68,66 +66,15 @@ class ReputationEngine:
         self.last_collusion_report = None
         self.ratings = RatingBook(self.db)
         self.comments = CommentBoard(self.db, moderated=moderated_comments)
-        self.aggregator = Aggregator(self.db)
-        self.vendors = VendorBook(self.db, self.aggregator)
+        self.scores = ScoreBook(self.db, self.ratings, self.trust)
+        self.vendors = VendorBook(self.db, self.scores)
         self.moderation: Optional[ModerationQueue] = (
             ModerationQueue(self.comments) if moderated_comments else None
         )
-        # Score publications buffer while a storage transaction is open
-        # and fan out to listeners only once its body has succeeded —
-        # subscribers never observe a state that rolls back.
-        self._score_listeners: list = []
-        self._pending_updates: list = []
-        self.aggregator.add_listener(self._on_score_published)
         #: Publish every folded change at once, or wait for the tick.
         self._publish_immediately = scoring_mode == SCORING_STREAMING
-        self.scorer = StreamingScorer(
-            self.db, self.ratings, self.trust, self.aggregator
-        )
         self.trust.add_listener(self.fold_trust_change)
         self.bootstrap_scores()
-
-    # -- score publication fan-out ------------------------------------------
-
-    def add_score_listener(self, listener: Callable) -> None:
-        """Register a callback invoked with each committed :class:`ScoreUpdate`.
-
-        The server's push path hangs off this hook; experiment probes
-        (E10 freshness) use it too.  A publication inside a transaction
-        reaches the listeners when the transaction's body has succeeded,
-        while it still holds the storage write lock, so listeners see a
-        digest's versions in order; they must not block.
-        """
-        self._score_listeners.append(listener)
-
-    def _on_score_published(self, update: ScoreUpdate) -> None:
-        if self.db.in_transaction:
-            self._pending_updates.append(update)
-        else:
-            self._dispatch_updates([update])
-
-    def _dispatch_updates(self, updates: list) -> None:
-        for update in updates:
-            for listener in self._score_listeners:
-                listener(update)
-
-    @contextmanager
-    def _publishing_transaction(self):
-        """A storage transaction whose score publications reach the
-        listeners only once its body has succeeded.
-
-        The buffered updates are taken and fanned out while the
-        transaction still holds the exclusive side: they are this
-        transaction's own, and they leave in the order their versions
-        were numbered.  A body that raises discards them with the
-        rollback.
-        """
-        with self.db.transaction():
-            try:
-                yield
-            finally:
-                updates, self._pending_updates = self._pending_updates, []
-            self._dispatch_updates(updates)
 
     # -- membership ---------------------------------------------------------
 
@@ -169,14 +116,18 @@ class ReputationEngine:
         # One transaction for the insert and the fold: concurrent votes
         # on a digest fold (and number their score versions) one at a
         # time, and each sees the score the last one published.
-        with self._publishing_transaction():
-            settled = self.aggregator.score_of(software_id)
+        with self.scores.publishing_transaction():
+            settled = self.scores.score_of(software_id)
             vote = self.ratings.cast(username, software_id, score, now)
-            self.scorer.apply_vote(vote, self._publish_immediately)
-        # The trust model judges the vote against the score published
-        # *before* it landed; a moved weight re-publishes the voter's
-        # other digests through the trust listeners wired above.
-        self.trust.observe_vote(username, score, settled, now)
+            self.scores.apply_vote(vote, self._publish_immediately)
+        if self.trust.judges_votes:
+            # The trust model judges the vote against the score published
+            # *before* it landed; a moved weight re-publishes the voter's
+            # digests through the trust listener wired above.  Its own
+            # unit, serialised like the vote's: a follower folds a unit's
+            # votes or its trust changes, never both.
+            with self.scores.publishing_transaction():
+                self.trust.observe_vote(username, score, settled, now)
         return vote
 
     def add_comment(self, username: str, software_id: str, text: str) -> Comment:
@@ -193,7 +144,7 @@ class ReputationEngine:
         the votes and comments of well-known, reliable users more visible
         and influential".
         """
-        with self._publishing_transaction():
+        with self.scores.publishing_transaction():
             remark = self.comments.add_remark(
                 username, comment_id, positive, self.clock.now()
             )
@@ -220,7 +171,7 @@ class ReputationEngine:
         any derived rows.  Publishes (and pushes) the new score version
         in the streaming cadence.
         """
-        self.scorer.apply_vote(vote, self._publish_immediately)
+        self.scores.apply_vote(vote, self._publish_immediately)
 
     def fold_trust_change(
         self, username: str, old_weight: float, new_weight: float
@@ -232,7 +183,7 @@ class ReputationEngine:
         applying the leader's mutation and the new weight after, so the
         delta is the one the leader folded.
         """
-        self.scorer.apply_trust_change(
+        self.scores.apply_trust_change(
             username,
             old_weight,
             new_weight,
@@ -268,7 +219,7 @@ class ReputationEngine:
         cadence's publication, the streaming cadence's audit.  Returns
         the tick's report, or ``None`` when the slot is not due.
         """
-        if not self.aggregator.is_due(self.clock.now()):
+        if not self.scores.is_due(self.clock.now()):
             return None
         # Trust maintenance runs first so the score pass below uses the
         # post-decay, post-penalty weights.
@@ -302,8 +253,8 @@ class ReputationEngine:
         every digest whose published row differs — the 24-hour
         publication of the batch cadence, the audit of the streaming one.
         """
-        report = self.scorer.reconcile(self.clock.now())
-        self.aggregator.mark_ran(self.clock.now())
+        report = self.scores.reconcile(self.clock.now())
+        self.scores.mark_ran(self.clock.now())
         return report
 
     def bootstrap_scores(self, reload: bool = False) -> None:
@@ -319,15 +270,14 @@ class ReputationEngine:
         ``reload=True`` to discard the pre-recovery caches first.
         """
         if reload:
-            self.aggregator.reset_cache()
-            self.scorer.reload()
+            self.scores.reload()
             self.vendors.reload()
-        if self.scorer.in_sync_with_votes():
+        if self.scores.in_sync_with_votes():
             return
         if self._publish_immediately:
-            self.scorer.reconcile(self.clock.now())
+            self.scores.reconcile(self.clock.now())
         else:
-            self.scorer.rebuild(self.clock.now())
+            self.scores.rebuild()
 
     def flush_scores(self) -> int:
         """Persist in-memory derived score state (write-back).
@@ -336,15 +286,15 @@ class ReputationEngine:
         the only per-commit WAL mutation); this flushes them in one
         grouped transaction.  Call before closing the database.
         """
-        return self.scorer.flush()
+        return self.scores.flush()
 
     def software_reputation(self, software_id: str) -> Optional[SoftwareScore]:
         """The published score, or ``None`` for unrated software."""
-        return self.aggregator.score_of(software_id)
+        return self.scores.score_of(software_id)
 
     def score_version(self, software_id: str) -> int:
         """The digest's published score version (per-digest cache key)."""
-        return self.aggregator.version_of(software_id)
+        return self.scores.version_of(software_id)
 
     def vendor_reputation(self, vendor: str) -> Optional[VendorScore]:
         """Derived vendor score, or ``None`` if nothing rated yet."""
@@ -357,7 +307,7 @@ class ReputationEngine:
         software programs")."""
         return {
             "registered_software": self.vendors.total_software(),
-            "rated_software": self.aggregator.scored_count(),
+            "rated_software": self.scores.scored_count(),
             "total_votes": self.ratings.total_votes(),
             "total_comments": self.comments.total_comments(),
             "members": len(self.trust.all_members()),

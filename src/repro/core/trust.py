@@ -98,6 +98,9 @@ class TrustModel:
     policy_class: type
     #: Factory of the model's table schema.
     schema: Callable[[], Schema]
+    #: Whether :meth:`observe_vote` can move a weight; the engine gives
+    #: the judgement its own transaction only then.
+    judges_votes = False
 
     def __init__(self, database: Database, policy=None):
         self.policy = policy or self.policy_class()
@@ -107,7 +110,7 @@ class TrustModel:
                 f" not a {type(self.policy).__name__}"
             )
         #: Callbacks ``(username, old_weight, new_weight)`` fired whenever
-        #: a weight actually moves — the streaming scorer re-weights the
+        #: a weight actually moves — the score book re-weights the
         #: user's votes from these.
         self.listeners: list = []
         schema = self.schema()
@@ -189,7 +192,7 @@ class TrustModel:
         self, username: str, score: int, settled, now: int
     ) -> None:
         """Judge a vote against *settled*, the digest's published
-        :class:`~.aggregation.SoftwareScore` before it landed (or None);
+        :class:`~.scoring.SoftwareScore` before it landed (or None);
         a no-op unless the model earns evidence from votes."""
 
     def refresh(self, now: int) -> int:

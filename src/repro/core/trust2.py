@@ -175,6 +175,7 @@ class BayesianTrustLedger(TrustModel):
 
     policy_class = BayesianTrustPolicy
     schema = staticmethod(beta_trust_schema)
+    judges_votes = True
 
     def _weight(self, row: dict) -> float:
         # The stored posterior: decay materializes only through

@@ -24,7 +24,7 @@ from typing import Optional
 from ..errors import DuplicateKeyError
 from ..storage import Column, ColumnType, Database, Schema
 from ..storage.table import MutationEvent
-from .aggregation import Aggregator, ScoreUpdate
+from .scoring import ScoreBook, ScoreUpdate
 from .text import require_xml_text
 
 SOFTWARE_SCHEMA_NAME = "software"
@@ -79,8 +79,8 @@ class VendorBook:
     :attr:`generations`, and the server's score cache keys on it too.
     """
 
-    def __init__(self, database: Database, aggregator: Aggregator):
-        self._aggregator = aggregator
+    def __init__(self, database: Database, scores: ScoreBook):
+        self._scores = scores
         if database.has_table(SOFTWARE_SCHEMA_NAME):
             self._software = database.table(SOFTWARE_SCHEMA_NAME)
         else:
@@ -96,7 +96,7 @@ class VendorBook:
         self._stamps = itertools.count(1)
         #: vendor -> (generation read before the walk, its result).
         self._memo: dict[str, tuple] = {}
-        aggregator.add_listener(self._on_score_published)
+        scores.add_listener(self._on_score_published)
         self._software.add_observer(self._on_software_mutation)
 
     # -- freshness ------------------------------------------------------------
@@ -219,7 +219,7 @@ class VendorBook:
             return None
         scores = []
         for row in rows:
-            published = self._aggregator.score_of(row["software_id"])
+            published = self._scores.score_of(row["software_id"])
             if published is not None:
                 scores.append(published.score)
         score = None

@@ -1,20 +1,22 @@
-"""REP007/REP013 — tables with an owner in core/ are written only there.
+"""REP007/REP013 — tables with an owner module are written only there.
 
 Some tables have exactly one writer because that writer keeps derived
 state in step with every change; a write from anywhere else changes the
 rows without that bookkeeping.  Each rule below is one row of the same
-check, naming its tables, the schema factories that create them, and
-why the owner must be the only writer:
+check, naming its tables, the schema factories that create them, the
+owner modules, and why the owner must be the only writer:
 
-REP007, score tables (``software_scores``, ``score_sums``).
-    :meth:`~repro.core.aggregation.Aggregator.publish` is the single
-    write path for published scores: it allocates the per-digest
-    version, maintains the write-back row cache, and notifies the push
-    subscribers.  :class:`~repro.core.scoring.StreamingScorer` owns the
-    running sums, and its reconciliation pass assumes nothing else
-    moves them.  A direct write stops caches invalidating and
-    subscribers silently miss the change.
-REP013, trust tables (``trust_factors``, ``trust_evidence``).
+REP007, score tables (``software_scores``, ``score_sums``), owned by
+``core/scoring.py``.
+    :class:`~repro.core.scoring.ScoreBook` holds each digest's running
+    sums and published score in memory and writes both back at its
+    flush; its one publish path numbers the per-digest version and
+    notifies the push subscribers, and its reconciliation pass assumes
+    nothing else moves the sums.  A direct write is overwritten by the
+    next flush, stops caches invalidating, and subscribers silently
+    miss the change.
+REP013, trust tables (``trust_factors``, ``trust_evidence``), owned by
+``core/trust.py`` and ``core/trust2.py``.
     Every vote weight, collusion penalty and decayed posterior flows
     through :class:`~repro.core.trust.TrustLedger` or
     :class:`~repro.core.trust2.BayesianTrustLedger`, whose change
@@ -29,7 +31,8 @@ Flagged: mutation-method calls (``insert``, ``upsert``, ``delete``,
 assigned from such an expression anywhere in the module (including
 ``create_table(scores_schema())`` handles).
 
-Exempt: ``core/`` — the owners' home.
+Exempt: the owner modules.  Any other module, the rest of ``core/``
+included, is checked.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ _MUTATION_METHODS = ("insert", "upsert", "delete", "clear")
 
 
 class TableOwnershipRule(Rule):
-    """Flags writes to *tables* outside ``core/``."""
-
-    exempt = ("/core/",)
+    """Flags writes to *tables* outside their *owners* (module paths)."""
 
     def __init__(
         self,
@@ -53,10 +54,12 @@ class TableOwnershipRule(Rule):
         kind: str,
         tables: Tuple[str, ...],
         schema_factories: Tuple[str, ...],
+        owners: Tuple[str, ...],
         reason: str,
     ):
         self.id = rule_id
-        self.title = f"direct {kind}-table write outside core/"
+        self.title = f"direct {kind}-table write outside its owner"
+        self.exempt = tuple(f"/{owner}" for owner in owners)
         self._kind = kind
         self._tables = tables
         self._schema_factories = schema_factories
@@ -137,9 +140,10 @@ SCORE_TABLE_RULE = TableOwnershipRule(
     "score",
     ("software_scores", "score_sums"),
     ("scores_schema", "sums_schema"),
-    "published scores and running sums are written only by core/ "
-    "(Aggregator.publish / StreamingScorer), which owns versioning, "
-    "the row cache, and push fan-out",
+    ("core/scoring.py",),
+    "published scores and running sums are written only by the score "
+    "book (core/scoring.py ScoreBook), which owns versioning, the "
+    "write-back, and push fan-out",
 )
 
 TRUST_TABLE_RULE = TableOwnershipRule(
@@ -147,7 +151,9 @@ TRUST_TABLE_RULE = TableOwnershipRule(
     "trust",
     ("trust_factors", "trust_evidence"),
     ("trust_schema", "beta_trust_schema"),
-    "vote weights are written only by the core/ ledgers "
-    "(TrustLedger / BayesianTrustLedger), whose change listeners keep "
-    "published scores in step; go through credit/debit/penalize/force_set",
+    ("core/trust.py", "core/trust2.py"),
+    "vote weights are written only by the ledgers (core/trust.py "
+    "TrustLedger / core/trust2.py BayesianTrustLedger), whose change "
+    "listeners keep published scores in step; go through "
+    "credit/debit/penalize/force_set",
 )

@@ -238,7 +238,7 @@ class ReputationServer:
         #: Server-push subscriptions: every committed score publication
         #: fans out to matching connections (Sec. 4.2 as live protocol).
         self.subscriptions = SubscriptionRegistry()
-        self.engine.add_score_listener(self.subscriptions.publish)
+        self.engine.scores.add_listener(self.subscriptions.publish)
 
         registry = HandlerRegistry()
         for message_type, handler in (

@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from ..core.aggregation import ScoreUpdate
+from ..core.scoring import ScoreUpdate
 from ..net.framing import Push
 from ..protocol import ScoreUpdateEvent, encode_with
 from ..storage.locks import create_lock

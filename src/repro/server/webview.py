@@ -176,8 +176,8 @@ class WebView:
             return "".join(rendered)
 
         header = "<tr><th>Program</th><th>Vendor</th><th>Rating</th></tr>"
-        best = self._engine.aggregator.top_scores(limit, min_votes)
-        worst = self._engine.aggregator.bottom_scores(limit, min_votes)
+        best = self._engine.scores.top_scores(limit, min_votes)
+        worst = self._engine.scores.bottom_scores(limit, min_votes)
         body = (
             "<h2>Highest rated</h2>"
             f"<table>{header}{rows_for(best)}</table>"

@@ -319,7 +319,7 @@ class CommunitySimulation:
             infection_by_day.append(infection_rate(machines))
             active_by_day.append(active_infection_rate(machines, window))
             votes_by_day.append(self.server.engine.ratings.total_votes())
-            rated_by_day.append(self.server.engine.aggregator.scored_count())
+            rated_by_day.append(self.server.engine.scores.scored_count())
         return CommunityResult(
             config=self.config,
             population=self.population,

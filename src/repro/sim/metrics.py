@@ -53,7 +53,7 @@ def mean_absolute_rating_error(
     attack experiments: a captured system drifts away from ground truth.
     """
     errors = []
-    for score in engine.aggregator.all_scores():
+    for score in engine.scores.all_scores():
         if score.vote_count < min_votes:
             continue
         executable = executables_by_id.get(score.software_id)

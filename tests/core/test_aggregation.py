@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.analysis.ablations import unweighted_mean
 from repro.clock import SimClock, days
-from repro.core.aggregation import unweighted_mean
 from repro.core.reputation import ReputationEngine
 from repro.storage import Database
 
@@ -71,11 +71,11 @@ class TestBatchBehaviour:
         assert engine.software_reputation("sid").score == pytest.approx(6.0)
 
     def test_is_due_honours_period(self, engine):
-        aggregator = engine.aggregator
-        assert aggregator.is_due(0)
+        scores = engine.scores
+        assert scores.is_due(0)
         _tick(engine, 0)
-        assert not aggregator.is_due(days(1) - 1)
-        assert aggregator.is_due(days(1))
+        assert not scores.is_due(days(1) - 1)
+        assert scores.is_due(days(1))
 
     def test_tick_republishes_only_changed_digests(self, engine):
         engine.enroll_user("a")
@@ -105,17 +105,17 @@ class TestBatchBehaviour:
         engine.cast_vote("a", "s1", 5)
         engine.cast_vote("a", "s2", 5)
         _tick(engine, 0)
-        aggregator = engine.aggregator
-        assert aggregator.scored_count() == 2
-        assert {s.software_id for s in aggregator.all_scores()} == {"s1", "s2"}
+        scores = engine.scores
+        assert scores.scored_count() == 2
+        assert {s.software_id for s in scores.all_scores()} == {"s1", "s2"}
 
     def test_top_and_bottom_scores(self, engine):
         for index, score in enumerate((9, 2, 6, 4)):
             engine.cast_vote("a", f"s{index}", score)
         _tick(engine, 0)
-        top = engine.aggregator.top_scores(limit=2)
+        top = engine.scores.top_scores(limit=2)
         assert [s.software_id for s in top] == ["s0", "s2"]
-        bottom = engine.aggregator.bottom_scores(limit=2)
+        bottom = engine.scores.bottom_scores(limit=2)
         assert [s.software_id for s in bottom] == ["s1", "s3"]
 
     def test_rankings_respect_min_votes(self, engine):
@@ -123,7 +123,7 @@ class TestBatchBehaviour:
         engine.cast_vote("a", "thick", 5)
         engine.cast_vote("b", "thick", 5)
         _tick(engine, 0)
-        top = engine.aggregator.top_scores(limit=5, min_votes=2)
+        top = engine.scores.top_scores(limit=5, min_votes=2)
         assert [s.software_id for s in top] == ["thick"]
 
 
@@ -162,10 +162,10 @@ class TestDurableIncremental:
 
         # Session two: a fresh process over the reopened database.
         engine2 = self._open(directory, 20)
-        assert engine2.aggregator.last_run == 10
+        assert engine2.scores.last_run == 10
         assert engine2.software_reputation("s1").score == pytest.approx(8.0)
         assert engine2.software_reputation("s2") is None  # not yet published
-        assert engine2.scorer.in_sync_with_votes()  # rebuilt from the votes
+        assert engine2.scores.in_sync_with_votes()  # rebuilt from the votes
 
         report = _tick(engine2, 30)
         # Only the unpublished survivor is republished; s1's row is kept.
@@ -185,4 +185,4 @@ class TestDurableIncremental:
         report = _tick(engine2, 40)
         assert report.republished == 0
         assert engine2.score_version("s1") == version
-        assert engine2.aggregator.last_run == 40
+        assert engine2.scores.last_run == 40

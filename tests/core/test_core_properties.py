@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import SECONDS_PER_WEEK, SimClock, weeks
-from repro.core.aggregation import Aggregator
 from repro.core.ratings import MAX_SCORE, MIN_SCORE, RatingBook
 from repro.core.reputation import (
     SCORING_BATCH,
     SCORING_STREAMING,
     ReputationEngine,
 )
-from repro.core.scoring import StreamingScorer
+from repro.core.scoring import ScoreBook
 from repro.core.taxonomy import (
     ConsentLevel,
     Consequence,
@@ -117,8 +116,7 @@ def test_weighted_score_bounded_by_vote_extremes(stream, trusts):
     db = Database()
     ledger = TrustLedger(db)
     book = RatingBook(db)
-    aggregator = Aggregator(db)
-    scorer = StreamingScorer(db, book, ledger, aggregator)
+    score_book = ScoreBook(db, book, ledger)
     for index, trust in enumerate(trusts):
         ledger.enroll(f"u{index}", 0)
         ledger.force_set(f"u{index}", trust)
@@ -129,13 +127,13 @@ def test_weighted_score_bounded_by_vote_extremes(stream, trusts):
             continue
         book.cast(user, software, score, now=0)
         cast[(user, software)] = score
-    scorer.reconcile(now=0)
+    score_book.reconcile(now=0)
     by_software = {}
     for (_user, software), score in cast.items():
         by_software.setdefault(software, []).append(score)
     epsilon = 1e-9
     for software, scores in by_software.items():
-        published = aggregator.score_of(software)
+        published = score_book.score_of(software)
         assert min(scores) - epsilon <= published.score <= max(scores) + epsilon
         assert published.vote_count == len(scores)
 
@@ -251,13 +249,13 @@ def test_incremental_interleavings_match_one_full_run(events, mode):
         entry[0] += weight * score
         entry[1] += weight
         entry[2] += 1
-    published = {s.software_id: s for s in engine.aggregator.all_scores()}
+    published = {s.software_id: s for s in engine.scores.all_scores()}
     assert published.keys() == expected.keys()
     for software_id, (weighted_sum, weight_sum, vote_count) in expected.items():
         actual = published[software_id]
         assert actual.score == weighted_sum / weight_sum
         assert actual.vote_count == vote_count
         assert actual.total_weight == weight_sum
-        assert engine.scorer.sums_of(software_id) == (
+        assert engine.scores.sums_of(software_id) == (
             weighted_sum, weight_sum, vote_count
         )

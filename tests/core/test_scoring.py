@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -44,8 +45,8 @@ class TestDeltaScoring:
         for username, digest, score in votes:
             engine.cast_vote(username, digest, score)
         for digest in (DIGEST_A, DIGEST_B):
-            assert engine.scorer.sums_of(digest) == tuple(
-                engine.scorer._recompute(digest)
+            assert engine.scores.sums_of(digest) == tuple(
+                engine.scores._recompute(digest)
             )
 
     def test_trust_weighting(self, engine):
@@ -67,7 +68,7 @@ class TestDeltaScoring:
 
     def test_listeners_fire_per_vote(self, engine):
         updates = []
-        engine.add_score_listener(updates.append)
+        engine.scores.add_listener(updates.append)
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.cast_vote("bob", DIGEST_A, 8)
         assert [update.version for update in updates] == [1, 2]
@@ -83,8 +84,8 @@ class TestDeltaScoring:
         assert score.score == pytest.approx((1.0 * 2 + 10.0 * 10) / 11.0)
         assert engine.score_version(DIGEST_A) == before + 1
         # And the running sums still match a clean recompute.
-        assert engine.scorer.sums_of(DIGEST_A) == tuple(
-            engine.scorer._recompute(DIGEST_A)
+        assert engine.scores.sums_of(DIGEST_A) == tuple(
+            engine.scores._recompute(DIGEST_A)
         )
 
     def test_trust_change_for_nonvoter_publishes_nothing(self, engine):
@@ -100,7 +101,7 @@ class TestWriteBack:
     def test_votes_do_not_touch_derived_tables(self, engine):
         engine.cast_vote("alice", DIGEST_A, 2)
         assert engine.db.table(SUMS_SCHEMA_NAME).count() == 0
-        assert engine.aggregator.deferred_count == 1
+        assert engine.scores.dirty_count == 1
 
     def test_flush_persists_sums_and_scores(self, engine):
         engine.cast_vote("alice", DIGEST_A, 2)
@@ -111,7 +112,7 @@ class TestWriteBack:
         assert row["weight_sum"] == 1.0
         assert row["vote_count"] == 1
         assert engine.db.table("software_scores").get(DIGEST_B)["score"] == 9.0
-        assert engine.aggregator.deferred_count == 0
+        assert engine.scores.dirty_count == 0
 
     def test_flush_with_nothing_dirty_is_a_noop(self, engine):
         assert engine.flush_scores() == 0
@@ -123,19 +124,37 @@ class TestWriteBack:
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.flush_scores()
         engine.cast_vote("bob", DIGEST_A, 8)  # dirty, not flushed
-        engine.scorer.reload()
-        # Back to the persisted snapshot: one vote's worth of sums.
-        assert engine.scorer.sums_of(DIGEST_A) == (2.0, 1.0, 1)
+        assert engine.score_version(DIGEST_A) == 2
+        engine.scores.reload()
+        # Back to the persisted snapshot: one vote's worth of sums, and
+        # the published row and version the flush wrote.
+        assert engine.scores.sums_of(DIGEST_A) == (2.0, 1.0, 1)
+        assert engine.software_reputation(DIGEST_A).score == 2.0
+        assert engine.score_version(DIGEST_A) == 1
+
+    def test_reload_forgets_cached_trust_weights(self, engine):
+        """A follower's snapshot install rewrites trust rows without
+        firing the ledger's listeners; the reload after it must not fold
+        later votes with the weights cached before it."""
+        engine.cast_vote("alice", DIGEST_A, 2)  # caches alice's weight 1.0
+        table = engine.db.table(engine.trust.table_name)
+        row = table.get("alice")
+        with engine.db.transaction():
+            table.delete("alice")
+            table.insert(dict(row, trust=10.0))
+        engine.bootstrap_scores(reload=True)
+        engine.cast_vote("alice", DIGEST_B, 5)
+        assert engine.scores.sums_of(DIGEST_B) == (50.0, 10.0, 1)
 
     def test_in_sync_probe(self, engine):
-        assert engine.scorer.in_sync_with_votes()
+        assert engine.scores.in_sync_with_votes()
         engine.cast_vote("alice", DIGEST_A, 2)
-        assert engine.scorer.in_sync_with_votes()
+        assert engine.scores.in_sync_with_votes()
         engine.flush_scores()
         # Simulate the post-crash shape: sums snapshot lags the votes.
         engine.cast_vote("bob", DIGEST_B, 8)
-        engine.scorer.reload()
-        assert not engine.scorer.in_sync_with_votes()
+        engine.scores.reload()
+        assert not engine.scores.in_sync_with_votes()
 
 
 class TestReconciliation:
@@ -151,25 +170,26 @@ class TestReconciliation:
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.cast_vote("carol", DIGEST_A, 8)
         version = engine.score_version(DIGEST_A)
-        engine.scorer._sums[DIGEST_A][0] += 1.5  # inject drift
+        engine.scores._digests[DIGEST_A].weighted_sum += 1.5  # inject drift
         report = engine.reconcile_scores()
         assert report.sums_drifted == 1
         assert report.republished == 1
         assert engine.score_version(DIGEST_A) == version + 1
-        assert engine.scorer.sums_of(DIGEST_A) == tuple(
-            engine.scorer._recompute(DIGEST_A)
+        assert engine.scores.sums_of(DIGEST_A) == tuple(
+            engine.scores._recompute(DIGEST_A)
         )
         # Repaired state is durable: the flush at the end of the pass
         # wrote the corrected sums through.
         row = engine.db.table(SUMS_SCHEMA_NAME).get(DIGEST_A)
-        assert row["weighted_sum"] == engine.scorer.sums_of(DIGEST_A)[0]
+        assert row["weighted_sum"] == engine.scores.sums_of(DIGEST_A)[0]
 
     def test_reconcile_repairs_lagging_published_row(self, engine):
         """Matching sums are not enough — the published score row is
         verified too (a crash can lose one but not the other)."""
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.flush_scores()
-        engine.aggregator._row_cache[DIGEST_A]["score"] = 9.99
+        entry = engine.scores._digests[DIGEST_A]
+        entry.published = replace(entry.published, score=9.99)
         report = engine.reconcile_scores()
         assert (report.sums_drifted, report.republished) == (0, 1)
         assert engine.software_reputation(DIGEST_A).score == 2.0
@@ -202,8 +222,8 @@ class TestBootstrap:
         streaming = ReputationEngine(
             database=database, clock=SimClock(), scoring_mode="streaming"
         )
-        assert streaming.scorer.in_sync_with_votes()
-        assert streaming.scorer.sums_of(DIGEST_A) == (10.0, 2.0, 2)
+        assert streaming.scores.in_sync_with_votes()
+        assert streaming.scores.sums_of(DIGEST_A) == (10.0, 2.0, 2)
         assert streaming.software_reputation(DIGEST_A).score == 5.0
 
 
@@ -230,7 +250,7 @@ class TestConcurrentVotes:
             for username in batch:
                 engine.enroll_user(username)
         versions: dict = {digest: [] for digest in digests}
-        engine.add_score_listener(
+        engine.scores.add_listener(
             lambda update: versions[update.software_id].append(update.version)
         )
 
@@ -263,3 +283,74 @@ class TestConcurrentVotes:
         report = engine.reconcile_scores()
         assert report.sums_drifted == 0
         assert report.republished == 0
+
+    def test_parallel_bayesian_judgements_publish_distinct_versions(self):
+        """The Bayesian model judges each vote after it commits, and the
+        weight it moves republishes the voter's digests: those
+        publications, too, carry distinct versions that reach the
+        listeners in order, and the sums stay equal to the recompute.
+
+        Eight threads of voters each vote on four digests that already
+        have a consensus, so every vote is judged and every judgement
+        republishes up to four digests while other votes fold.
+        """
+        threads, per_thread = 8, 40
+        digests = ["%02x" % round_ * 20 for round_ in range(1, 5)]
+        engine = ReputationEngine(
+            database=Database(),
+            clock=SimClock(),
+            scoring_mode="streaming",
+            trust_model="bayesian",
+        )
+        seeds = engine.trust.policy.consensus_min_votes
+        for index in range(seeds):
+            engine.enroll_user(f"seed-{index}")
+            for digest in digests:
+                engine.cast_vote(f"seed-{index}", digest, 5)
+        names = [
+            [f"voter-{thread}-{index}" for index in range(per_thread)]
+            for thread in range(threads)
+        ]
+        for batch in names:
+            for username in batch:
+                engine.enroll_user(username)
+        versions: dict = {digest: [] for digest in digests}
+        engine.scores.add_listener(
+            lambda update: versions[update.software_id].append(update.version)
+        )
+        first = {digest: engine.score_version(digest) + 1 for digest in digests}
+
+        def vote(batch, start):
+            start.wait()
+            for index, username in enumerate(batch):
+                for digest in digests:
+                    engine.cast_vote(username, digest, 1 + index % 10)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the folds finely
+        try:
+            start = threading.Barrier(threads)
+            workers = [
+                threading.Thread(target=vote, args=(batch, start))
+                for batch in names
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        for digest in digests:
+            published = engine.software_reputation(digest)
+            assert versions[digest] == list(
+                range(first[digest], published.version + 1)
+            )
+            assert published.vote_count == threads * per_thread + seeds
+            weighted_sum, weight_sum, vote_count = engine.scores._recompute(
+                digest
+            )
+            assert engine.scores.sums_of(digest) == pytest.approx(
+                (weighted_sum, weight_sum, vote_count)
+            )
+            assert published.score == pytest.approx(weighted_sum / weight_sum)

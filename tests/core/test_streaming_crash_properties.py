@@ -124,10 +124,10 @@ def test_kill_mid_burst_recovers_identical_sums(
     }
 
     # Per-digest running sums: bit-identical to the uninterrupted run.
-    assert recovered.scorer.tracked_count() == reference.scorer.tracked_count()
+    assert recovered.scores.tracked_count() == reference.scores.tracked_count()
     for _, digest, _ in prefix:
         digest_id = _digest(digest)
-        assert recovered.scorer.sums_of(digest_id) == reference.scorer.sums_of(
+        assert recovered.scores.sums_of(digest_id) == reference.scores.sums_of(
             digest_id
         ), digest_id
         ours = recovered.software_reputation(digest_id)

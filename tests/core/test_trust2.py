@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import SimClock, days, weeks
 from repro.core import BayesianTrustLedger, BayesianTrustPolicy, ReputationEngine
-from repro.core.aggregation import SoftwareScore
+from repro.core.scoring import SoftwareScore
 from repro.core.reputation import TRUST_BAYESIAN, TRUST_LINEAR
 from repro.core.trust import TrustLedger, TrustPolicy
 from repro.errors import ServerError
@@ -270,14 +270,14 @@ class TestBatchTrustRepublication:
         engine.trust.penalize("user3", clock.now())
         # The fold re-weighted the sums as the penalty landed.
         for digest in digests:
-            assert engine.scorer.sums_of(digest) == pytest.approx(
-                engine.scorer._recompute(digest)
+            assert engine.scores.sums_of(digest) == pytest.approx(
+                engine.scores._recompute(digest)
             )
         clock.advance(days(1))
         report = engine.reconcile_scores()
         assert report.republished == len(digests)
         for digest in digests:
-            weighted_sum, weight_sum, __ = engine.scorer._recompute(digest)
+            weighted_sum, weight_sum, __ = engine.scores._recompute(digest)
             assert engine.software_reputation(digest).score == (
                 weighted_sum / weight_sum
             )

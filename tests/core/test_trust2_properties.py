@@ -20,7 +20,7 @@ import shutil
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import weeks
-from repro.core.aggregation import SoftwareScore
+from repro.core.scoring import SoftwareScore
 from repro.core.trust2 import BayesianTrustLedger, BayesianTrustPolicy
 from repro.storage import Database
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.clock import SimClock, weeks
 from repro.core import BayesianTrustLedger, ReputationEngine, TrustLedger
-from repro.core.aggregation import SoftwareScore
+from repro.core.scoring import SoftwareScore
 from repro.core.reputation import TRUST_BAYESIAN, TRUST_LINEAR
 from repro.core.trust import TrustModel
 from repro.storage import Database

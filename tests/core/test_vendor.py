@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import Aggregator
 from repro.core.ratings import RatingBook
 from repro.core.reputation import SCORING_STREAMING, ReputationEngine
-from repro.core.scoring import StreamingScorer
+from repro.core.scoring import ScoreBook
 from repro.core.trust import TrustLedger
 from repro.core.vendor import VendorBook, VendorScore
 from repro.errors import DuplicateVoteError, ServerError
@@ -17,9 +16,8 @@ from repro.storage import Database
 def rig(db):
     trust = TrustLedger(db)
     ratings = RatingBook(db)
-    aggregator = Aggregator(db)
-    vendors = VendorBook(db, aggregator)
-    return trust, ratings, StreamingScorer(db, ratings, trust, aggregator), vendors
+    scores = ScoreBook(db, ratings, trust)
+    return trust, ratings, scores, VendorBook(db, scores)
 
 
 def _register(vendors, sid, vendor="V", name="p.exe"):
@@ -77,25 +75,25 @@ class TestRegistry:
 class TestVendorScores:
     def test_mean_of_software_scores(self, rig):
         """Sec. 3.2: vendor rating is the average of its software scores."""
-        trust, ratings, scorer, vendors = rig
+        trust, ratings, scores, vendors = rig
         trust.enroll("u", 0)
         _register(vendors, "s1", vendor="V")
         _register(vendors, "s2", vendor="V")
         ratings.cast("u", "s1", 4, now=0)
         ratings.cast("u", "s2", 8, now=0)
-        scorer.reconcile(now=0)
+        scores.reconcile(now=0)
         score = vendors.vendor_score("V")
         assert score.score == pytest.approx(6.0)
         assert score.software_count == 2
         assert score.rated_software_count == 2
 
     def test_unrated_software_excluded_from_mean(self, rig):
-        trust, ratings, scorer, vendors = rig
+        trust, ratings, scores, vendors = rig
         trust.enroll("u", 0)
         _register(vendors, "s1", vendor="V")
         _register(vendors, "s2", vendor="V")
         ratings.cast("u", "s1", 4, now=0)
-        scorer.reconcile(now=0)
+        scores.reconcile(now=0)
         score = vendors.vendor_score("V")
         assert score.score == pytest.approx(4.0)
         assert score.software_count == 2
@@ -111,12 +109,12 @@ class TestVendorScores:
         assert vendors.vendor_score("V") is None
 
 
-def _fresh_walk(vendors, aggregator, vendor):
+def _fresh_walk(vendors, score_book, vendor):
     """The vendor mean recomputed from scratch, the memo bypassed."""
     records = vendors.software_of_vendor(vendor)
     scores = []
     for record in records:
-        published = aggregator.score_of(record.software_id)
+        published = score_book.score_of(record.software_id)
         if published is not None:
             scores.append(published.score)
     if not scores:
@@ -150,7 +148,7 @@ class TestVendorScoreMemo:
 
     def _check(self, engine, vendor="V"):
         score = engine.vendors.vendor_score(vendor)
-        _same(score, _fresh_walk(engine.vendors, engine.aggregator, vendor))
+        _same(score, _fresh_walk(engine.vendors, engine.scores, vendor))
         return score
 
     def test_same_object_while_nothing_moves(self, engine):
@@ -240,7 +238,7 @@ def test_memo_equals_a_fresh_walk_after_any_interleaving(steps):
         for vendor in vendors:
             _same(
                 engine.vendors.vendor_score(vendor),
-                _fresh_walk(engine.vendors, engine.aggregator, vendor),
+                _fresh_walk(engine.vendors, engine.scores, vendor),
             )
 
 

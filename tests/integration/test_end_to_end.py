@@ -247,7 +247,7 @@ class TestServerOwnedDatabase:
             )
 
         server = self._restart(tmp_path, clock, scoring_mode="streaming")
-        server.engine.aggregator.add_listener(push)
+        server.engine.scores.add_listener(push)
         for name in ("alice", "bob", "carol", "dave"):
             server.engine.enroll_user(name)
         server.engine.register_software("sid", "p.exe", 10, vendor="V")
@@ -258,9 +258,9 @@ class TestServerOwnedDatabase:
         held = cache.get("sid", clock.now()).score_version
         # No close(): the process dies with its publishes unflushed.
         server2 = self._restart(tmp_path, clock, scoring_mode="streaming")
-        server2.engine.aggregator.add_listener(push)
+        server2.engine.scores.add_listener(push)
         server2.engine.cast_vote("dave", "sid", 9)
-        after = server2.engine.aggregator.score_of("sid")
+        after = server2.engine.scores.score_of("sid")
         assert after.version < held
         cached = cache.get("sid", clock.now())
         assert (cached.score, cached.vote_count) == (after.score, 4)

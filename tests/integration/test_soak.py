@@ -72,7 +72,7 @@ class TestSoak:
         )
 
     def test_published_scores_stay_on_scale(self, soak_result):
-        for score in soak_result.engine.aggregator.all_scores():
+        for score in soak_result.engine.scores.all_scores():
             assert 1.0 <= score.score <= 10.0
             assert score.vote_count >= 1
 

@@ -301,7 +301,7 @@ class TestRep006:
 
 
 # ---------------------------------------------------------------------------
-# REP007 — score tables are written only by core/
+# REP007 — score tables are written only by core/scoring.py
 # ---------------------------------------------------------------------------
 
 class TestRep007:
@@ -322,7 +322,7 @@ class TestRep007:
 
     def test_schema_factory_handle_flagged(self):
         src = """\
-        from repro.core.aggregation import scores_schema
+        from repro.core.scoring import scores_schema
 
         def install(db, row):
             table = db.create_table(scores_schema())
@@ -361,7 +361,15 @@ class TestRep007:
             self._scores.upsert(row)
             self._scores = db.table("software_scores")
         """
-        assert findings(src, "repro/core/aggregation.py") == []
+        assert findings(src, "repro/core/scoring.py") == []
+
+    def test_other_core_module_flagged(self):
+        src = """\
+        def publish(self, row):
+            self._scores.upsert(row)
+            self._scores = db.table("software_scores")
+        """
+        assert findings(src, "repro/core/vendor.py") == [("REP007", 2)]
 
     def test_suppression_honored(self):
         src = (
@@ -372,7 +380,7 @@ class TestRep007:
 
 
 # ---------------------------------------------------------------------------
-# REP013 — trust tables are written only by core/
+# REP013 — trust tables are written only by the core/ ledgers
 # ---------------------------------------------------------------------------
 
 class TestRep013:
@@ -433,6 +441,14 @@ class TestRep013:
             self._table = db.table("trust_evidence")
         """
         assert findings(src, "repro/core/trust2.py") == []
+
+    def test_other_core_module_flagged(self):
+        src = """\
+        def _bump(self, row):
+            self._table.upsert(row)
+            self._table = db.table("trust_evidence")
+        """
+        assert findings(src, "repro/core/vendor.py") == [("REP013", 2)]
 
     def test_suppression_honored(self):
         src = (

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core.aggregation import ScoreUpdate
+from repro.core.scoring import ScoreUpdate
 from repro.net.framing import Push
 from repro.protocol import CODEC_BINARY, ScoreUpdateEvent, decode_with
 from repro.server.subscriptions import SubscriptionRegistry
