@@ -1,7 +1,7 @@
 """Pipeline throughput: requests/sec in-process vs over TCP, 1 vs 8 threads.
 
-Measures the cost of each transport layer around the same middleware
-chain (instrumentation → codec → errors → auth → ratelimit → handlers):
+Measures the cost of each transport layer around the same request
+function (``Pipeline.run``: decode → auth → rate limit → handler → encode):
 calling ``handle_bytes`` directly versus paying the length-prefixed TCP
 framing and a real socket round-trip (XML, one request at a time per
 connection), single-threaded and with eight concurrent clients.

@@ -49,6 +49,7 @@ from ..protocol import (
     decode,
     encode,
 )
+from ..protocol.messages import E_DUPLICATE_VOTE
 from ..winsim import ExecutionRequest, HookDecision, Machine
 from .cache import ScoreCache
 from .lists import SignerList, SoftwareList
@@ -513,7 +514,7 @@ class ReputationClient:
         except NetworkError:
             return  # vote lost; the prompter will retry another day
         if isinstance(response, ErrorResponse):
-            if response.code == "duplicate-vote":
+            if response.code == E_DUPLICATE_VOTE:
                 self.prompter.mark_rated(software_id)
             return
         self.prompter.mark_rated(software_id)

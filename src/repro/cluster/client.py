@@ -44,9 +44,9 @@ from ..protocol import (
     StatsResponse,
     VoteRequest,
 )
+from ..protocol.messages import E_AUTH
 from ..client.lookup import CoalescingLookupClient
 from ..client.resilience import ResilientTransport, RetryPolicy, ResilientCaller
-from ..server.pipeline import E_AUTH
 from ..storage import create_event, create_lock, spawn_thread
 from .topology import ClusterTopology
 

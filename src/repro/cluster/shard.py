@@ -53,6 +53,7 @@ from ..protocol import (
     ReplicateUnits,
     VoteRequest,
 )
+from ..protocol.messages import E_FOLLOWER_LAGGING, E_NOT_LEADER
 from ..server import ReputationServer
 from ..storage import Column, ColumnType, Database, Schema, create_lock
 from ..storage.records import parse_snapshot_bytes
@@ -66,10 +67,6 @@ from .replication import (
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
-
-#: Refusal codes the cluster adds to the pipeline's vocabulary.
-E_NOT_LEADER = "not-leader"
-E_FOLLOWER_LAGGING = "follower-lagging"
 
 #: Tables whose rows are *derived* from the primary state: followers
 #: skip their replicated mutations and recompute locally (the streaming
@@ -256,6 +253,7 @@ class FollowerApplier:
                     self._engine.fold_trust_change(
                         username, old, trust.weight_of(username)
                     )
+                    self._server.invalidate_rankings_of(username)
             elif table == COMMENTS_SCHEMA_NAME:
                 touched_comments.add(mutation["pk"])
             elif table == REMARKS_SCHEMA_NAME and mutation["row"]:
@@ -391,13 +389,11 @@ class ShardServer:
     # -- follower request surface ----------------------------------------
 
     def _wire_follower_handlers(self) -> None:
-        registry = self.server.pipeline.registry
-        registry.register(ReplicateUnits, self.applier.handle_units)
-        registry.register(ReplicateSnapshot, self.applier.handle_snapshot)
-        registry.register(QuerySoftwareRequest, self._handle_query_follower)
-        registry.register(
-            QuerySoftwareBatchRequest, self._handle_query_batch_follower
-        )
+        handlers = self.server.pipeline.handlers
+        handlers[ReplicateUnits] = self.applier.handle_units
+        handlers[ReplicateSnapshot] = self.applier.handle_snapshot
+        handlers[QuerySoftwareRequest] = self._handle_query_follower
+        handlers[QuerySoftwareBatchRequest] = self._handle_query_batch_follower
         for write_type in (
             RegisterRequest,
             CredentialRegisterRequest,
@@ -406,7 +402,7 @@ class ShardServer:
             CommentRequest,
             RemarkRequest,
         ):
-            registry.register(write_type, self._refuse_write)
+            handlers[write_type] = self._refuse_write
 
     def _refuse_write(self, ctx) -> ErrorResponse:
         where = (

@@ -115,6 +115,8 @@ class CommentBoard:
             self._remarks = database.create_table(remarks_schema())
         if not self._comments.has_index("software_id"):
             self._comments.create_index("software_id", kind="hash")
+        if not self._comments.has_index("username"):
+            self._comments.create_index("username", kind="hash")
         if not self._comments.has_index("status"):
             self._comments.create_index("status", kind="hash")
         if not self._remarks.has_index("comment_id"):
@@ -167,10 +169,14 @@ class CommentBoard:
         return self.get_comment(comment_id)
 
     def _has_commented(self, username: str, software_id: str) -> bool:
-        return any(
-            row["username"] == username
-            for row in self._comments.select(software_id=software_id)
-        )
+        rows = self._comments.count(username=username, software_id=software_id)
+        return rows > 0
+
+    def software_commented_by(self, username: str) -> set:
+        """The digests *username* has commented on, any status."""
+        return {
+            row["software_id"] for row in self._comments.select(username=username)
+        }
 
     def get_comment(self, comment_id: int) -> Comment:
         return self._row_to_comment(self._comments.get(comment_id))

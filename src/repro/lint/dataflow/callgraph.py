@@ -249,8 +249,8 @@ class ProjectGraph:
     def _attribute_types(self, module: Module) -> None:
         """Fill ``ClassInfo.attr_types`` from annotated __init__ params.
 
-        ``self._registry = registry`` where ``registry: HandlerRegistry``
-        lets method calls through ``self._registry`` resolve.
+        ``self._metrics = metrics`` where ``metrics: PipelineMetrics``
+        lets method calls through ``self._metrics`` resolve.
         """
         mod_name = module_name_for(module.rel_path)
         for class_qualname, info in self.classes.items():

@@ -337,7 +337,7 @@ class _FunctionWalker:
                 kind="exception",
                 description=(
                     f"{name}() message (exception text flows to "
-                    "ErrorResponse.detail via the error middleware)"
+                    "ErrorResponse.detail via Pipeline.run's error mapping)"
                 ),
                 node=arg,
             )

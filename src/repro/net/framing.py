@@ -56,10 +56,6 @@ _CORRELATION = struct.Struct(">I")
 #: can never start an XML document.
 HELLO_MAGIC = b"\xabREPRO/1 "
 
-#: Wire code used when a request escapes the application handler — the
-#: transport's own last-resort refusal (matches the pipeline's E_SERVER).
-TRANSPORT_ERROR_CODE = "server-error"
-
 
 # ---------------------------------------------------------------------------
 # Blocking frame I/O (clients)
@@ -320,6 +316,7 @@ class ConnectionProtocol:
             )
         except Exception:
             from ..protocol import ErrorResponse, encode_with
+            from ..protocol.messages import E_SERVER
 
             # The pipeline maps domain errors itself; anything that still
             # escapes is a bug in the application layer.  Answer instead
@@ -331,7 +328,7 @@ class ConnectionProtocol:
             return encode_with(
                 self.codec,
                 ErrorResponse(
-                    code=TRANSPORT_ERROR_CODE,
+                    code=E_SERVER,
                     detail="request failed inside the application handler",
                 ),
             )

@@ -2,7 +2,7 @@
 
 A connection negotiates its codec by name in the HELLO frame (see
 :mod:`repro.net.framing`); everything above the frame layer — the
-pipeline's codec middleware, the response cache, the clients — routes
+request pipeline, the response cache, the clients — routes
 through :func:`encode_with` / :func:`decode_with` so a negotiated name
 picks the format in exactly one place.
 

@@ -468,7 +468,27 @@ class OkResponse(Message):
 @message("error-response")
 @dataclass(frozen=True)
 class ErrorResponse(Message):
-    """A refusal; *code* is a stable machine-readable string."""
+    """A refusal; *code* is a stable machine-readable string (``E_*``)."""
 
     code: str
     detail: str = ""
+
+
+#: The codes an :class:`ErrorResponse` carries, one spelling for the
+#: server, the transport, the cluster and every client.
+E_BAD_REQUEST = "bad-request"
+E_PUZZLE = "puzzle-failed"
+E_REGISTRATION = "registration-rejected"
+E_DUPLICATE_ACCOUNT = "duplicate-account"
+E_ACTIVATION = "activation-failed"
+E_AUTH = "auth-failed"
+E_NOT_ACTIVE = "not-active"
+E_DUPLICATE_VOTE = "duplicate-vote"
+E_RATE_LIMITED = "rate-limited"
+#: Also the transport's last-resort refusal when a request escapes the
+#: application handler.
+E_SERVER = "server-error"
+#: Cluster refusals: a write sent to a follower, a read to a follower
+#: further behind its leader than the freshness bound.
+E_NOT_LEADER = "not-leader"
+E_FOLLOWER_LAGGING = "follower-lagging"

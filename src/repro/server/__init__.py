@@ -3,8 +3,8 @@
 * :mod:`~repro.server.accounts` — registration, e-mail activation, login.
 * :mod:`~repro.server.ratelimit` — token-bucket flood control.
 * :mod:`~repro.server.votes` — vote/comment/remark ingestion rules.
-* :mod:`~repro.server.pipeline` — the layered request pipeline (context,
-  middleware chain, handler registry, metrics).
+* :mod:`~repro.server.pipeline` — the request pipeline: one function that
+  decodes, authenticates, rate-limits, dispatches, encodes and records.
 * :mod:`~repro.server.app` — the server application bound to the pipeline.
 * :mod:`~repro.server.webview` — the web interface (HTML pages).
 """
@@ -12,18 +12,7 @@
 from .accounts import AccountManager, AccountRecord
 from .ratelimit import TokenBucket, RateLimiter
 from .votes import VoteGate
-from .pipeline import (
-    AuthMiddleware,
-    CodecMiddleware,
-    ErrorMiddleware,
-    HandlerRegistry,
-    InstrumentationMiddleware,
-    Middleware,
-    Pipeline,
-    PipelineMetrics,
-    RateLimitMiddleware,
-    RequestContext,
-)
+from .pipeline import Pipeline, PipelineMetrics, RequestContext
 from .app import ReputationServer, PRE_AUTH_MESSAGES
 from .webview import WebView
 from .http import HttpGateway, http_get
@@ -39,13 +28,6 @@ __all__ = [
     "Pipeline",
     "PipelineMetrics",
     "RequestContext",
-    "HandlerRegistry",
-    "Middleware",
-    "AuthMiddleware",
-    "CodecMiddleware",
-    "ErrorMiddleware",
-    "InstrumentationMiddleware",
-    "RateLimitMiddleware",
     "WebView",
     "HttpGateway",
     "http_get",

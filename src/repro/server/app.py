@@ -1,15 +1,15 @@
 """The reputation server application.
 
 Binds everything together behind one wire entry point,
-:meth:`ReputationServer.handle_bytes`, which simply runs the layered
-request pipeline (see :mod:`repro.server.pipeline`): instrumentation,
-XML codec, error-to-wire-code mapping, session authentication, and
-per-origin flood control are middleware stages; the handlers below are
-thin context-taking functions that only contain domain logic.  All domain
-errors are mapped to :class:`~repro.protocol.ErrorResponse` with stable
-codes so the client (and the attack simulations) can react to specific
-refusals — and unexpected exceptions become ``server-error`` refusals
-instead of escaping to the transport.
+:meth:`ReputationServer.handle_bytes`, which runs the request pipeline
+(see :mod:`repro.server.pipeline`): decoding, session authentication,
+per-origin flood control, error-to-wire-code mapping and metrics happen
+there, once; the handlers below are thin context-taking functions that
+only contain domain logic.  All domain errors are mapped to
+:class:`~repro.protocol.ErrorResponse` with stable codes so the client
+(and the attack simulations) can react to specific refusals — and
+unexpected exceptions become ``server-error`` refusals instead of
+escaping to the transport.
 
 Registration walks the full Sec. 2.1 gauntlet: an anti-automation puzzle,
 per-origin flood control, the unique hashed e-mail, then activation via
@@ -80,14 +80,9 @@ from .pipeline import (
     E_RATE_LIMITED,
     E_REGISTRATION,
     E_SERVER,
-    AuthMiddleware,
-    CodecMiddleware,
-    ErrorMiddleware,
-    HandlerRegistry,
-    InstrumentationMiddleware,
+    PRE_AUTH_MESSAGES,
     Pipeline,
     PipelineMetrics,
-    RateLimitMiddleware,
     RequestContext,
 )
 from .ratelimit import RateLimiter
@@ -110,16 +105,6 @@ __all__ = [
 
 #: Default WAL-size trigger for the server's background checkpointer.
 DEFAULT_CHECKPOINT_WAL_BYTES = 4 * 1024 * 1024
-
-#: Message types a client may send before it has a session (the account
-#: lifecycle itself).  Everything else must authenticate.
-PRE_AUTH_MESSAGES = (
-    PuzzleRequest,
-    RegisterRequest,
-    CredentialRegisterRequest,
-    ActivateRequest,
-    LoginRequest,
-)
 
 
 class ReputationServer:
@@ -239,42 +224,30 @@ class ReputationServer:
         #: fans out to matching connections (Sec. 4.2 as live protocol).
         self.subscriptions = SubscriptionRegistry()
         self.engine.scores.add_listener(self.subscriptions.publish)
+        self.engine.trust.add_listener(self._on_trust_change)
 
-        registry = HandlerRegistry()
-        for message_type, handler in (
-            (PuzzleRequest, self._handle_puzzle),
-            (RegisterRequest, self._handle_register),
-            (CredentialRegisterRequest, self._handle_credential_register),
-            (ActivateRequest, self._handle_activate),
-            (LoginRequest, self._handle_login),
-            (QuerySoftwareRequest, self._handle_query_software),
-            (QuerySoftwareBatchRequest, self._handle_query_software_batch),
-            (VoteRequest, self._handle_vote),
-            (CommentRequest, self._handle_comment),
-            (RemarkRequest, self._handle_remark),
-            (SubscribeRequest, self._handle_subscribe),
-            (UnsubscribeRequest, self._handle_unsubscribe),
-            (SearchRequest, self._handle_search),
-            (VendorQueryRequest, self._handle_vendor_query),
-            (StatsRequest, self._handle_stats),
-            (CollusionReportRequest, self._handle_collusion_report),
-        ):
-            registry.register(message_type, handler)
         self.metrics = PipelineMetrics()
         self.pipeline = Pipeline(
-            middlewares=[
-                InstrumentationMiddleware(self.metrics),
-                CodecMiddleware(),
-                ErrorMiddleware(),
-                AuthMiddleware(self.accounts, registry, PRE_AUTH_MESSAGES),
-                RateLimitMiddleware(
-                    self.registration_limiter,
-                    self.clock,
-                    (RegisterRequest, CredentialRegisterRequest),
-                ),
-            ],
-            registry=registry,
+            self.accounts, self.registration_limiter, self.clock, self.metrics
         )
+        self.pipeline.handlers.update({
+            PuzzleRequest: self._handle_puzzle,
+            RegisterRequest: self._handle_register,
+            CredentialRegisterRequest: self._handle_credential_register,
+            ActivateRequest: self._handle_activate,
+            LoginRequest: self._handle_login,
+            QuerySoftwareRequest: self._handle_query_software,
+            QuerySoftwareBatchRequest: self._handle_query_software_batch,
+            VoteRequest: self._handle_vote,
+            CommentRequest: self._handle_comment,
+            RemarkRequest: self._handle_remark,
+            SubscribeRequest: self._handle_subscribe,
+            UnsubscribeRequest: self._handle_unsubscribe,
+            SearchRequest: self._handle_search,
+            VendorQueryRequest: self._handle_vendor_query,
+            StatsRequest: self._handle_stats,
+            CollusionReportRequest: self._handle_collusion_report,
+        })
         if self._owns_database:
             # Every subsystem above has re-declared its schemas; now the
             # on-disk state (snapshot + binary WAL) can load.
@@ -311,10 +284,6 @@ class ReputationServer:
         Subscribe requests are refused when it is absent.
         """
         return self.pipeline.run(peer_address, payload, codec=codec, push=push)
-
-    def handle(self, peer_address: str, request: object):
-        """Handle one decoded request; always returns a message."""
-        return self.pipeline.run_message(peer_address, request)
 
     def pipeline_stats(self) -> dict:
         """Instrumentation snapshot: per-type counts, error codes,
@@ -523,19 +492,36 @@ class ReputationServer:
     def _handle_remark(self, ctx: RequestContext):
         request = ctx.request
         self.gate.add_remark(ctx.username, request.comment_id, request.positive)
-        # The remark changed the comment's visible counters (and the
-        # author's trust, hence comment ranking) for this software.
+        # The remark changed the comment's visible counters for this
+        # software (the author's trust change invalidates through
+        # _on_trust_change).
         commented = self.engine.comments.get_comment(request.comment_id)
         self.score_cache.invalidate(commented.software_id)
         return OkResponse(detail="remark recorded")
+
+    def _on_trust_change(
+        self, username: str, old_weight: float, new_weight: float
+    ) -> None:
+        self.invalidate_rankings_of(username)
+
+    def invalidate_rankings_of(self, username: str) -> None:
+        """Drop the cached answers that rank *username*'s comments.
+
+        Comment ranking weighs each author's trust, and a trust change
+        (a remark, the daily refresh, a collusion penalty, a Bayesian
+        vote judgement) moves no score version, so every digest the
+        user commented on is evicted explicitly.
+        """
+        for software_id in self.engine.comments.software_commented_by(username):
+            self.score_cache.invalidate(software_id)
 
     # -- push subscriptions -------------------------------------------------------
 
     def _handle_subscribe(self, ctx: RequestContext):
         """Open a push subscription on this connection.
 
-        Requires a push-capable transport connection: the in-process
-        path has nowhere to deliver events, so it is refused outright
+        Requires a push-capable transport connection: the simulated
+        network has nowhere to deliver events, so it is refused outright
         rather than silently registered and immediately dropped as dead.
         """
         request = ctx.request

@@ -1,10 +1,13 @@
-"""The layered request pipeline: middleware order, auth, errors, metrics."""
+"""The request pipeline: dispatch, auth, error mapping, rate limit, metrics."""
 
+from repro.crypto.puzzles import Puzzle, solve_puzzle
 from repro.protocol import (
     ErrorResponse,
     OkResponse,
     PuzzleRequest,
     PuzzleResponse,
+    RegisterRequest,
+    RegisterResponse,
     StatsRequest,
     StatsResponse,
     VoteRequest,
@@ -14,40 +17,27 @@ from repro.protocol import (
 from repro.server.pipeline import (
     E_AUTH,
     E_BAD_REQUEST,
+    E_RATE_LIMITED,
     E_SERVER,
-    HandlerRegistry,
-    RequestContext,
 )
 
 from .test_app import _rpc, _signup
 
 
-class TestLayerStructure:
-    def test_middleware_order(self, server):
-        assert server.pipeline.layer_names() == (
-            "instrumentation",
-            "codec",
-            "errors",
-            "auth",
-            "ratelimit",
-            "handlers",
-        )
+def _handle(server, request, origin="host"):
+    return decode(server.handle_bytes(origin, encode(request)))
 
+
+class TestLayerStructure:
     def test_registry_covers_every_request_type(self, server):
-        registered = set(server.pipeline.registry.registered_types)
+        registered = set(server.pipeline.handlers)
         assert PuzzleRequest in registered
         assert VoteRequest in registered
         assert len(registered) == 16
 
-    def test_run_and_run_message_agree(self, server):
-        over_wire = decode(server.handle_bytes("host", encode(PuzzleRequest())))
-        in_process = server.handle("host", PuzzleRequest())
-        assert isinstance(over_wire, PuzzleResponse)
-        assert isinstance(in_process, PuzzleResponse)
-
-    def test_request_ids_are_unique(self, server):
-        first = server.pipeline.run_message("host", PuzzleRequest())
-        second = server.pipeline.run_message("host", PuzzleRequest())
+    def test_puzzle_requests_get_distinct_nonces(self, server):
+        first = _handle(server, PuzzleRequest())
+        second = _handle(server, PuzzleRequest())
         assert isinstance(first, PuzzleResponse)
         assert isinstance(second, PuzzleResponse)
         assert first.nonce != second.nonce
@@ -60,7 +50,7 @@ class TestErrorMiddleware:
         def exploding(ctx):
             raise KeyError("handler bug")
 
-        server.pipeline.registry.register(StatsRequest, exploding)
+        server.pipeline.handlers[StatsRequest] = exploding
         session = _signup(server)
         response = _rpc(server, StatsRequest(session=session))
         assert isinstance(response, ErrorResponse)
@@ -71,7 +61,7 @@ class TestErrorMiddleware:
         def exploding(ctx):
             raise ZeroDivisionError("boom")
 
-        server.pipeline.registry.register(StatsRequest, exploding)
+        server.pipeline.handlers[StatsRequest] = exploding
         session = _signup(server)
         # Must return bytes, not raise — the transport loop depends on it.
         raw = server.handle_bytes("host", encode(StatsRequest(session=session)))
@@ -93,13 +83,13 @@ class TestAuthMiddleware:
             seen["username"] = ctx.username
             return OkResponse()
 
-        server.pipeline.registry.register(StatsRequest, spy)
+        server.pipeline.handlers[StatsRequest] = spy
         _rpc(server, StatsRequest(session=session))
         assert seen["username"] == "alice"
 
     def test_pre_auth_messages_skip_authentication(self, server):
         # No account exists yet, but the puzzle request sails through.
-        response = server.handle("host", PuzzleRequest())
+        response = _handle(server, PuzzleRequest())
         assert isinstance(response, PuzzleResponse)
 
     def test_unknown_message_is_bad_request_not_auth_failure(self, server):
@@ -111,8 +101,8 @@ class TestAuthMiddleware:
 
 class TestInstrumentation:
     def test_counts_by_message_type(self, server):
-        server.handle("host", PuzzleRequest())
-        server.handle("host", PuzzleRequest())
+        _handle(server, PuzzleRequest())
+        _handle(server, PuzzleRequest())
         snapshot = server.pipeline_stats()
         assert snapshot["requests_by_type"]["PuzzleRequest"]["count"] == 2
         assert snapshot["total_requests"] == 2
@@ -130,28 +120,15 @@ class TestInstrumentation:
         assert snapshot["errors_by_code"][E_BAD_REQUEST] == 1
 
     def test_latency_aggregates_present(self, server):
-        server.handle("host", PuzzleRequest())
+        _handle(server, PuzzleRequest())
         stats = server.pipeline_stats()["requests_by_type"]["PuzzleRequest"]
         assert stats["mean_latency_ms"] >= 0.0
         assert stats["max_latency_ms"] >= stats["mean_latency_ms"]
 
     def test_reset(self, server):
-        server.handle("host", PuzzleRequest())
+        _handle(server, PuzzleRequest())
         server.metrics.reset()
         assert server.pipeline_stats()["total_requests"] == 0
-
-
-class TestHandlerRegistry:
-    def test_dispatch_unknown_type(self):
-        registry = HandlerRegistry()
-        ctx = RequestContext(peer_address="host", request=PuzzleRequest())
-        registry.dispatch(ctx)
-        assert isinstance(ctx.response, ErrorResponse)
-        assert ctx.response.code == E_BAD_REQUEST
-
-    def test_message_type_of_undecoded_context(self):
-        ctx = RequestContext(peer_address="host")
-        assert ctx.message_type == "<undecodable>"
 
 
 class TestStatsEndpointStillWorks:
@@ -160,3 +137,37 @@ class TestStatsEndpointStillWorks:
         response = _rpc(server, StatsRequest(session=session))
         assert isinstance(response, StatsResponse)
         assert response.members >= 1
+
+
+class TestRateLimit:
+    def test_rate_limited_registration_keeps_its_puzzle(self, server):
+        """The flood check runs before the handler: a refused registration
+        leaves its puzzle unredeemed, so the same solution registers once
+        the origin's bucket refills."""
+
+        def register(username, puzzle):
+            return _rpc(
+                server,
+                RegisterRequest(
+                    username=username,
+                    password="password",
+                    email=f"{username}@x.org",
+                    puzzle_nonce=puzzle.nonce,
+                    puzzle_solution=solve_puzzle(puzzle),
+                ),
+                origin="one-host",
+            )
+
+        def fresh_puzzle():
+            response = _rpc(server, PuzzleRequest(), origin="one-host")
+            return Puzzle(response.nonce, response.difficulty)
+
+        for index in range(10):
+            puzzle = fresh_puzzle()
+            response = register(f"u{index}", puzzle)
+            if isinstance(response, ErrorResponse):
+                break
+        assert response.code == E_RATE_LIMITED
+        refill_seconds = 1 / server.registration_limiter.refill_per_second
+        server.clock.advance(int(refill_seconds) + 1)
+        assert isinstance(register(f"u{index}", puzzle), RegisterResponse)
