@@ -16,7 +16,7 @@ when (and only when) the software actually runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..clock import SimClock
 from ..winsim import Behavior, Executable, Machine

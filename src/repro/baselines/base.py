@@ -21,7 +21,7 @@ That pipeline is modelled in three parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..winsim import Executable, ExecutionRequest, HookDecision, Machine

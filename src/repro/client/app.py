@@ -14,7 +14,6 @@ decides blind, like the real client offline.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 

@@ -16,7 +16,7 @@ layer "could considerably lower the need for user interaction".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -13,7 +13,7 @@ lets them be stored, synced, and audited per user or per fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import PolicyError

@@ -16,7 +16,7 @@ subscribed feeds averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..core.taxonomy import ConsentLevel
 from ..winsim import Behavior, Executable

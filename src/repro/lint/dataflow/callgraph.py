@@ -22,7 +22,7 @@ so fixture packages in tests get honest names too.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..engine import Module
 

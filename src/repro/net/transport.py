@@ -16,7 +16,7 @@ exposes only the exit relay.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..clock import SimClock

@@ -14,7 +14,7 @@ of :mod:`repro.net.anonymity`.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .registry import message
 

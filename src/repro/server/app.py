@@ -24,7 +24,6 @@ from typing import Optional
 from ..clock import SimClock
 from ..core.reputation import (
     SCORING_BATCH,
-    SCORING_STREAMING,
     TRUST_LINEAR,
     ReputationEngine,
 )

@@ -18,7 +18,6 @@ tiny request/response text protocol (``GET <path>``), routing paths to
 
 from __future__ import annotations
 
-from typing import Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .webview import WebView

@@ -12,7 +12,6 @@ abuse controls of Sec. 2.1:
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..core.comments import Comment, Remark
 from ..core.ratings import Vote

@@ -11,7 +11,7 @@ order.  The first ALLOW or DENY wins; hooks that do not care answer PASS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analyzer import AnalysisService, BehaviorEvidenceStore, Sandbox
 from repro.clock import days
-from repro.storage import Database
 from repro.winsim import Behavior, build_executable
 
 

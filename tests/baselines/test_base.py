@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import DefinitionEntry, SignatureDatabase, SignatureLab
+from repro.baselines import SignatureDatabase, SignatureLab
 from repro.baselines.base import SignatureScanner
 from repro.clock import days, hours
 from repro.winsim import (

@@ -1,9 +1,7 @@
 """AV and anti-spyware targeting policies (Sec. 1 / 4.3)."""
 
-import pytest
 
 from repro.baselines import (
-    AntiSpywareScanner,
     AntivirusScanner,
     NoProtection,
     SignatureDatabase,
@@ -14,8 +12,6 @@ from repro.core.taxonomy import ConsentLevel
 from repro.winsim import (
     Behavior,
     ExecutionOutcome,
-    ExecutionRequest,
-    HookDecision,
     Machine,
     build_executable,
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clock import days, hours
+from repro.clock import days
 from repro.client.cache import ScoreCache
 from repro.protocol import SoftwareInfoResponse
 

@@ -1,6 +1,5 @@
 """Responder factories: the programmable dialog users."""
 
-import pytest
 
 from repro.client.ui import (
     DialogContext,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BootstrapCorpus, ReputationEngine, bootstrap_database
+from repro.core import BootstrapCorpus, bootstrap_database
 from repro.core.bootstrap import BootstrapEntry, is_bootstrap_user
 from repro.errors import ServerError
 

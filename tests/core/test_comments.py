@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.comments import CommentBoard
 from repro.errors import ServerError
-from repro.storage import Database
 
 
 @pytest.fixture

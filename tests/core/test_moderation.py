@@ -9,7 +9,6 @@ from repro.core.moderation import (
     ModerationQueue,
 )
 from repro.errors import ModerationError
-from repro.storage import Database
 
 
 @pytest.fixture

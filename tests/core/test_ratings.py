@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ratings import MAX_SCORE, MIN_SCORE, RatingBook, vote_key
 from repro.errors import DuplicateVoteError, ServerError
-from repro.storage import Database
 
 
 @pytest.fixture

@@ -92,7 +92,6 @@ class TestRankedComments:
         assert [c.text for c in ranked] == ["older", "newer"]
 
     def test_wire_carries_ranked_order(self, wired_server):
-        from repro.clock import days as _days
         from repro.protocol import QuerySoftwareRequest, decode, encode
         from tests.server.test_app import _signup
 

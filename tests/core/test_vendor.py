@@ -9,7 +9,6 @@ from repro.core.scoring import ScoreBook
 from repro.core.trust import TrustLedger
 from repro.core.vendor import VendorBook, VendorScore
 from repro.errors import DuplicateVoteError, ServerError
-from repro.storage import Database
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.crypto.pseudonyms import (
-    BlindedRequest,
     Credential,
     CredentialHolder,
     CredentialIssuer,

@@ -1,6 +1,5 @@
 """EULA generation."""
 
-import pytest
 
 from repro.core.taxonomy import ConsentLevel
 from repro.eula import generate_eula

@@ -1,6 +1,5 @@
 """Layered protection: AV, reputation client, and policies on one chain."""
 
-import pytest
 
 from repro.baselines import AntivirusScanner, SignatureDatabase
 from repro.clock import days

@@ -8,7 +8,6 @@ than crashing the server.
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError

@@ -6,12 +6,11 @@ schema: username, hashed password, hashed e-mail, two timestamps, and
 nothing that links a user to a host.
 """
 
-import json
 
 import pytest
 
 from repro.errors import SchemaError
-from repro.server.accounts import FORBIDDEN_COLUMNS, accounts_schema
+from repro.server.accounts import FORBIDDEN_COLUMNS
 
 
 class TestSchemaAudit:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clock import SimClock, days
+from repro.clock import days
 from repro.core import ReputationEngine
 from repro.sim.metrics import (
     active_infection_rate,

@@ -8,7 +8,7 @@ from repro.errors import (
     RowNotFoundError,
     SchemaError,
 )
-from repro.storage import Column, ColumnType, Database, Schema
+from repro.storage import Column, ColumnType, Schema
 
 
 @pytest.fixture

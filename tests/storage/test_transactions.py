@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DuplicateKeyError, TransactionError
-from repro.storage import Column, ColumnType, Database, Schema
+from repro.storage import Column, ColumnType, Schema
 
 
 @pytest.fixture

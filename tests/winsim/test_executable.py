@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 
 from repro.core.taxonomy import ConsentLevel, Consequence
 from repro.crypto.digests import software_id_hex

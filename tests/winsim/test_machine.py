@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clock import SimClock, days
+from repro.clock import days
 from repro.core.taxonomy import Consequence
 from repro.winsim import (
     Behavior,
