@@ -81,7 +81,6 @@ from .pipeline import (
     E_SERVER,
     PRE_AUTH_MESSAGES,
     Pipeline,
-    PipelineMetrics,
     RequestContext,
 )
 from .ratelimit import RateLimiter
@@ -225,10 +224,10 @@ class ReputationServer:
         self.engine.scores.add_listener(self.subscriptions.publish)
         self.engine.trust.add_listener(self._on_trust_change)
 
-        self.metrics = PipelineMetrics()
         self.pipeline = Pipeline(
-            self.accounts, self.registration_limiter, self.clock, self.metrics
+            self.accounts, self.registration_limiter, self.clock
         )
+        self.metrics = self.pipeline.metrics
         self.pipeline.handlers.update({
             PuzzleRequest: self._handle_puzzle,
             RegisterRequest: self._handle_register,

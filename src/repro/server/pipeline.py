@@ -183,13 +183,11 @@ class Pipeline:
     """Bytes in, bytes out: decode, authenticate, rate-limit, dispatch,
     encode, and record — in that order, for every request."""
 
-    def __init__(
-        self, accounts, registration_limiter, clock, metrics: PipelineMetrics
-    ):
+    def __init__(self, accounts, registration_limiter, clock):
         self._accounts = accounts
         self._limiter = registration_limiter
         self._clock = clock
-        self.metrics = metrics
+        self.metrics = PipelineMetrics()
         #: Message type -> handler; the server fills it, a cluster
         #: follower overrides entries.
         self.handlers: dict[type, Handler] = {}
